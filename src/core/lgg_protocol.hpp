@@ -8,6 +8,18 @@
 // among equal neighbours does not affect stability; both deterministic and
 // randomized tie-breaks are provided so experiments can confirm it.
 //
+// Only downhill links (declared < q_t(u)) can carry a packet, and the
+// order puts all of them first, so selection filters before it sorts: one
+// O(deg u) scan keeps the active downhill links, and only those D links
+// are sorted, O(D log D).  The rest of the list is never ordered.
+//
+// The per-node order of the emitted transmissions is a contract, not an
+// implementation detail: loss models mark losses by list index, and the
+// flight recorder and StepObserver record the list as proposed.  It is the
+// old full sort's order restricted to the downhill links: (declared queue,
+// neighbour id, edge id) for kById; for kRandomShuffle, a shuffle of u's
+// active links in insertion order, then a stable sort by declared queue.
+//
 // Selection is local by construction (each node needs only its own queue
 // and its neighbours' declarations), and the randomized tie-break draws
 // from the node's addressed stream (StepView::draw_seed), so the shard
@@ -49,16 +61,7 @@ class LggProtocol final : public RoutingProtocol {
   void register_metrics(obs::MetricRegistry& registry) override;
 
  private:
-  /// One node's selection into `out` using caller-provided scratch.
-  /// Returns 1 when the node was active (held packets), 0 otherwise.
-  std::uint64_t select_node(const StepView& view, NodeId u,
-                            std::vector<graph::IncidentLink>& scratch,
-                            std::vector<Transmission>& out) const;
-
   TieBreak tie_break_;
-  // Scratch reused across steps by the serial path; the shard path uses a
-  // call-local vector instead so concurrent shards never share it.
-  std::vector<graph::IncidentLink> scratch_;
   obs::Counter* active_nodes_ = nullptr;
 };
 

@@ -257,10 +257,7 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
     for (const ShardScratch& sh : shards_) active += sh.active_nodes;
     sim.protocol_->note_selection_work(active);
     stats.proposed = static_cast<PacketCount>(sim.txs_.size());
-    if (sim.options_.check_contract) {
-      const std::string err = check_transmission_contract(view, sim.txs_);
-      LGG_REQUIRE(err.empty(), "protocol contract violated: " + err);
-    }
+    sim.check_contract(view);
     lap_parallel(StepPhase::kSelection,
                  static_cast<std::uint64_t>(stats.proposed));
   } else {
@@ -269,10 +266,7 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
       sim.protocol_->select_transmissions(view, rng, sim.txs_);
     }
     stats.proposed = static_cast<PacketCount>(sim.txs_.size());
-    if (sim.options_.check_contract) {
-      const std::string err = check_transmission_contract(view, sim.txs_);
-      LGG_REQUIRE(err.empty(), "protocol contract violated: " + err);
-    }
+    sim.check_contract(view);
     lap(StepPhase::kSelection, static_cast<std::uint64_t>(stats.proposed));
   }
 

@@ -98,9 +98,8 @@ class ParallelStepEngine {
   void shard_apply(Simulator& sim, ShardScratch& sh, bool drift_on, NodeId v,
                    PacketCount delta, obs::DriftCause cause) {
     auto& q = sim.queue_[static_cast<std::size_t>(v)];
+    const detail::QuadAccum dp = detail::square_delta(q, delta);
     if (drift_on) {
-      const auto uq = static_cast<std::uint64_t>(q);
-      const auto ud = static_cast<std::uint64_t>(delta);
       const auto local =
           static_cast<std::size_t>(plan_.local_index[static_cast<std::size_t>(v)]);
       if (!sh.drift_touched_flag[local]) {
@@ -108,9 +107,10 @@ class ParallelStepEngine {
         sh.drift_touched.push_back(static_cast<std::uint32_t>(local));
       }
       sh.drift[local * obs::kDriftCauseCount +
-               static_cast<std::size_t>(cause)] += ud * (2 * uq + ud);
+               static_cast<std::size_t>(cause)] +=
+          static_cast<std::uint64_t>(dp);
     }
-    sh.sum_sq_delta += detail::square(q + delta) - detail::square(q);
+    sh.sum_sq_delta += dp;
     sh.sum_q_delta += delta;
     q += delta;
   }

@@ -108,8 +108,21 @@ class RoutingProtocol {
   virtual void load_state(std::istream&) {}
 };
 
+/// Reusable scratch for check_transmission_contract.  Each (edge,
+/// direction) slot is epoch-stamped, so a check costs O(transmissions +
+/// nodes) and allocates nothing once the scratch has grown.
+struct ContractScratch {
+  std::vector<std::uint32_t> stamp;  ///< epoch that last used (edge, dir)
+  std::vector<PacketCount> sent;     ///< per-node sends of this check
+  std::uint32_t current = 0;
+};
+
 /// Debug/test helper: verifies the protocol contract for a proposed set.
 /// Returns an empty string when valid, else a description of the violation.
+std::string check_transmission_contract(const StepView& view,
+                                        std::span<const Transmission> txs,
+                                        ContractScratch& scratch);
+/// As above with a call-local scratch.
 std::string check_transmission_contract(const StepView& view,
                                         std::span<const Transmission> txs);
 

@@ -567,10 +567,7 @@ StepStats Simulator::step_serial() {
     protocol_->select_transmissions(view, rng, txs_);
   }
   stats.proposed = static_cast<PacketCount>(txs_.size());
-  if (options_.check_contract) {
-    const std::string err = check_transmission_contract(view, txs_);
-    LGG_REQUIRE(err.empty(), "protocol contract violated: " + err);
-  }
+  check_contract(view);
   lap(StepPhase::kSelection, static_cast<std::uint64_t>(stats.proposed));
 
   // 5. Interference scheduling.

@@ -52,6 +52,15 @@ typedef std::uint64_t QuadAccum;
   const auto u = static_cast<QuadAccum>(static_cast<std::uint64_t>(q));
   return u * u;
 }
+
+/// ΔP of one queue mutation q → q+δ: δ(2q+δ) with a single multiply, in
+/// the accumulator's modular arithmetic (δ sign-extends), so it equals
+/// square(q+δ) − square(q) for every non-negative q and q+δ.  Its low 64
+/// bits are the wraparound-safe drift term DriftAttributor::record takes.
+[[nodiscard]] inline QuadAccum square_delta(PacketCount q, PacketCount delta) {
+  const auto ud = static_cast<QuadAccum>(delta);
+  return ud * (2 * static_cast<QuadAccum>(q) + ud);
+}
 }  // namespace detail
 
 /// Reusable per-edge scratch for link-conflict resolution.  Entries are
@@ -276,14 +285,21 @@ class Simulator {
   /// in int64 — the same modular discipline as the Σq² accumulator).
   void apply_queue_delta(NodeId v, PacketCount delta, obs::DriftCause cause) {
     auto& q = queue_[static_cast<std::size_t>(v)];
+    const detail::QuadAccum dp = detail::square_delta(q, delta);
     if (drift_ != nullptr) {
-      const auto uq = static_cast<std::uint64_t>(q);
-      const auto ud = static_cast<std::uint64_t>(delta);
-      drift_->record(v, cause, ud * (2 * uq + ud));
+      drift_->record(v, cause, static_cast<std::uint64_t>(dp));
     }
-    sum_sq_ += detail::square(q + delta) - detail::square(q);
+    sum_sq_ += dp;
     sum_q_ += delta;
     q += delta;
+  }
+
+  /// Validates this step's proposals when options().check_contract is set.
+  void check_contract(const StepView& view) {
+    if (!options_.check_contract) return;
+    const std::string err =
+        check_transmission_contract(view, txs_, contract_scratch_);
+    LGG_REQUIRE(err.empty(), "protocol contract violated: " + err);
   }
 
   /// Registers component metrics into the attached telemetry session.
@@ -370,6 +386,7 @@ class Simulator {
   std::vector<char> keep_;            // scratch
   std::vector<char> lost_;            // scratch
   LinkConflictScratch conflict_scratch_;
+  ContractScratch contract_scratch_;
   // Per-step (node, wiped packets) pairs for flight-recorder crash events.
   std::vector<std::pair<NodeId, PacketCount>> wiped_scratch_;
   // What this step's scheduled churn mutated; cleared at phase 1, consumed

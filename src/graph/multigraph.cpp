@@ -47,6 +47,20 @@ CsrIncidence::CsrIncidence(const Multigraph& g) {
                   static_cast<std::ptrdiff_t>(
                       offsets_[static_cast<std::size_t>(v)]));
   }
+  // Walking the nodes w in ascending order and appending (w, e) to the far
+  // end's list fills every list sorted by neighbour.  Parallel edges land
+  // in w's incidence order, which is ascending edge id, so no sort runs.
+  neighbors_.resize(offsets_[n]);
+  edges_.resize(offsets_[n]);
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (NodeId w = 0; w < g.node_count(); ++w) {
+    for (const IncidentLink& link : g.incident(w)) {
+      const std::size_t slot =
+          cursor[static_cast<std::size_t>(link.neighbor)]++;
+      neighbors_[slot] = w;
+      edges_[slot] = link.edge;
+    }
+  }
 }
 
 EdgeId EdgeMask::active_count() const {

@@ -75,7 +75,8 @@ class Multigraph {
   /// Δ = max_v |Γ(v)|; 0 for an empty graph.
   [[nodiscard]] int max_degree() const;
 
-  /// All links incident to `v` (each parallel edge appears once).
+  /// All links incident to `v` (each parallel edge appears once), in
+  /// insertion order, i.e. by ascending edge id.
   [[nodiscard]] std::span<const IncidentLink> incident(NodeId v) const {
     LGG_REQUIRE(valid_node(v), "incident: bad node");
     return incidence_[static_cast<std::size_t>(v)];
@@ -106,7 +107,11 @@ class Multigraph {
 };
 
 /// Flat CSR snapshot of a multigraph's incidence, built once per simulation
-/// for cache-friendly traversal in the hot loop.
+/// for cache-friendly traversal in the hot loop.  Each node's links are
+/// stored twice: in insertion order (incident(), the order the baselines
+/// and LGG's random tie-break shuffle walk) and as parallel neighbour-id /
+/// edge-id arrays in ascending (neighbour, edge) order (LGG's canonical
+/// tie-break order, scanned branch-light by its selection).
 class CsrIncidence {
  public:
   CsrIncidence() = default;
@@ -123,6 +128,23 @@ class CsrIncidence {
     return {links_.data() + b, links_.data() + e};
   }
 
+  /// v's neighbour ids in ascending (neighbour, edge) order; entry i is
+  /// the far end of ordered_edges(v)[i].
+  [[nodiscard]] std::span<const NodeId> ordered_neighbors(NodeId v) const {
+    LGG_ASSERT(v >= 0 && v < node_count());
+    const auto b = offsets_[static_cast<std::size_t>(v)];
+    const auto e = offsets_[static_cast<std::size_t>(v) + 1];
+    return {neighbors_.data() + b, neighbors_.data() + e};
+  }
+
+  /// v's edge ids, parallel to ordered_neighbors(v).
+  [[nodiscard]] std::span<const EdgeId> ordered_edges(NodeId v) const {
+    LGG_ASSERT(v >= 0 && v < node_count());
+    const auto b = offsets_[static_cast<std::size_t>(v)];
+    const auto e = offsets_[static_cast<std::size_t>(v) + 1];
+    return {edges_.data() + b, edges_.data() + e};
+  }
+
   [[nodiscard]] int degree(NodeId v) const {
     return static_cast<int>(incident(v).size());
   }
@@ -130,6 +152,8 @@ class CsrIncidence {
  private:
   std::vector<std::size_t> offsets_;
   std::vector<IncidentLink> links_;
+  std::vector<NodeId> neighbors_;
+  std::vector<EdgeId> edges_;
 };
 
 /// Per-edge activation overlay for dynamic topologies.  Every edge of the

@@ -161,6 +161,29 @@ TEST(IncrementalCounters, TrackSeededInitialQueues) {
   expect_counters_match_scan(sim);
 }
 
+TEST(IncrementalCounters, SquareDeltaIsTheDifferenceOfSquares) {
+  // Every mutation's ΔP goes through square_delta: it must equal the
+  // two-square difference it replaced, up to 63-bit queues and for both
+  // signs of δ, and its low 64 bits must be the drift term.
+  constexpr PacketCount kTop = std::numeric_limits<PacketCount>::max();
+  const PacketCount queues[] = {0, 1, 7, PacketCount{1} << 31,
+                                PacketCount{1} << 32, PacketCount{1} << 62,
+                                kTop - 64, kTop};
+  for (const PacketCount q : queues) {
+    for (const PacketCount delta :
+         {PacketCount{-64}, PacketCount{-1}, PacketCount{0}, PacketCount{1},
+          PacketCount{64}, -q, kTop - q}) {
+      if (q + delta < 0 || delta > kTop - q) continue;
+      const detail::QuadAccum dp = detail::square_delta(q, delta);
+      EXPECT_EQ(dp, detail::square(q + delta) - detail::square(q))
+          << q << " " << delta;
+      const auto uq = static_cast<std::uint64_t>(q);
+      const auto ud = static_cast<std::uint64_t>(delta);
+      EXPECT_EQ(static_cast<std::uint64_t>(dp), ud * (2 * uq + ud));
+    }
+  }
+}
+
 TEST(StepProfiler, AccumulatesPhaseTimesAndCounters) {
   const SdNetwork net = scenarios::fat_path(4, 3, 1, 3);
   Simulator sim(net);

@@ -2,6 +2,9 @@
 // valid sets pass.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/protocol.hpp"
 #include "core/scenarios.hpp"
 #include "graph/generators.hpp"
@@ -90,6 +93,38 @@ TEST(TransmissionContract, BudgetOverrunCaught) {
   EXPECT_NE(check_transmission_contract(fx.view(), txs)
                 .find("holds only"),
             std::string::npos);
+}
+
+TEST(TransmissionContract, MessagesAreExact) {
+  Fixture fx;
+  fx.queue = {1, 0, 0};
+  const auto check = [&fx](const std::vector<Transmission>& txs) {
+    return check_transmission_contract(fx.view(), txs);
+  };
+  EXPECT_EQ(check({{99, 0, 1}}), "invalid edge id 99");
+  EXPECT_EQ(check({{0, 0, 2}}), "transmission endpoints do not match edge 0");
+  EXPECT_EQ(check({{0, 0, 1}, {0, 0, 1}}),
+            "edge 0 used twice in the same direction");
+  EXPECT_EQ(check({{0, 0, 1}, {1, 0, 1}}),
+            "node 0 sends 2 packets but holds only 1");
+  fx.mask.set_active(0, false);
+  EXPECT_EQ(check({{0, 0, 1}}), "transmission on inactive edge 0");
+}
+
+TEST(TransmissionContract, ReusedScratchIsolatesCalls) {
+  // One scratch across calls, crossing the epoch wraparound: a direction
+  // used by an earlier call must not count against a later one.
+  Fixture fx;
+  const std::vector<Transmission> txs = {{0, 0, 1}, {2, 1, 2}, {3, 1, 2}};
+  ContractScratch scratch;
+  scratch.current = std::numeric_limits<std::uint32_t>::max() - 1;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(check_transmission_contract(fx.view(), txs, scratch), "");
+  }
+  const std::vector<Transmission> twice = {{2, 1, 2}, {2, 1, 2}};
+  EXPECT_EQ(check_transmission_contract(fx.view(), twice, scratch),
+            "edge 2 used twice in the same direction");
+  EXPECT_EQ(check_transmission_contract(fx.view(), txs, scratch), "");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/require.hpp"
 
 namespace lgg::graph {
@@ -113,6 +115,26 @@ TEST(CsrIncidence, MatchesAdjacencyOfSource) {
       EXPECT_EQ(from_graph[i], from_csr[i]);
     }
   }
+}
+
+TEST(CsrIncidence, OrderedArraysSortByNeighbourThenEdge) {
+  Multigraph g(4);
+  g.add_edge(1, 3);  // 0
+  g.add_edge(1, 0);  // 1
+  g.add_edge(3, 1);  // 2: parallel to edge 0
+  g.add_edge(1, 2);  // 3
+  g.add_edge(0, 1);  // 4: parallel to edge 1
+  const CsrIncidence csr(g);
+  const auto nbrs = csr.ordered_neighbors(1);
+  const auto edges = csr.ordered_edges(1);
+  EXPECT_EQ(std::vector<NodeId>(nbrs.begin(), nbrs.end()),
+            (std::vector<NodeId>{0, 0, 2, 3, 3}));
+  EXPECT_EQ(std::vector<EdgeId>(edges.begin(), edges.end()),
+            (std::vector<EdgeId>{1, 4, 3, 0, 2}));
+  // Insertion order is kept alongside.
+  EXPECT_EQ(csr.incident(1)[0], (IncidentLink{0, 3}));
+  EXPECT_EQ(csr.ordered_neighbors(2).size(), 1u);
+  EXPECT_EQ(csr.ordered_edges(2)[0], 3);
 }
 
 TEST(CsrIncidence, EmptyGraph) {

@@ -4,10 +4,57 @@
 // as an exact mismatch.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "lgg.hpp"
 
 namespace lgg::core {
 namespace {
+
+// FNV-1a over every step's state: the queue vector, the exact 128-bit Σq²
+// and the cumulative stats.  Unlike the engine-vs-engine comparisons in
+// ShardEquivalence, a digest pinned here catches a change in per-node
+// transmission order that both engines make alike.
+class TrajectoryDigest {
+ public:
+  void step(const Simulator& sim) {
+    const auto q = sim.queues();
+    bytes(q.data(), q.size_bytes());
+    detail::QuadAccum p = 0;
+    for (const PacketCount v : q) p += detail::square(v);
+    u64(static_cast<std::uint64_t>(p));
+    u64(static_cast<std::uint64_t>(p >> 64));
+    const CumulativeStats& c = sim.cumulative();
+    for (const PacketCount v :
+         {c.injected, c.proposed, c.suppressed, c.conflicted, c.sent, c.lost,
+          c.delivered, c.extracted, c.crash_wiped, c.shed, c.steps}) {
+      u64(static_cast<std::uint64_t>(v));
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t run_digest(Simulator& sim, int steps) {
+  TrajectoryDigest digest;
+  for (int t = 0; t < steps; ++t) {
+    sim.step();
+    digest.step(sim);
+  }
+  EXPECT_TRUE(sim.conserves_packets());
+  return digest.value();
+}
 
 TEST(Determinism, DeterministicPipelineGolden) {
   // Fully deterministic configuration: exact arrivals, no loss.  The
@@ -74,6 +121,55 @@ TEST(Determinism, GoldenStochasticCounters) {
   const double loss_rate = static_cast<double>(totals.lost) /
                            static_cast<double>(totals.sent);
   EXPECT_NEAR(loss_rate, 0.25, 0.08);
+}
+
+// Pinned trajectory digests.  The values were recorded with the
+// full-sort selection that preceded the filter-first one; they lock the
+// canonical per-node transmission order, the loss draws addressed by list
+// index and the tie-break draws.  Re-record only for a deliberate change
+// to the step semantics.
+
+TEST(Determinism, PinnedDigestByIdLossAndChurn) {
+  // Parallel edges and equal declared queues exercise every level of the
+  // (declared, neighbour, edge) order.
+  SimulatorOptions options;
+  options.seed = 0x5eed0001;
+  options.check_contract = true;
+  Simulator sim(scenarios::random_unsaturated(48, 160, 3, 2, 11), options);
+  sim.set_arrival(std::make_unique<BernoulliArrival>(0.8));
+  sim.set_loss(std::make_unique<BernoulliLoss>(0.1));
+  sim.set_dynamics(std::make_unique<RandomChurn>(0.05, 0.3));
+  EXPECT_EQ(run_digest(sim, 400), 0x2244252da202c431ULL);
+}
+
+TEST(Determinism, PinnedDigestRandomShuffleRandomDeclarations) {
+  SimulatorOptions options;
+  options.seed = 0x5eed0002;
+  options.declaration_policy = DeclarationPolicy::kRandom;
+  options.check_contract = true;
+  Simulator sim(
+      scenarios::generalize(scenarios::random_unsaturated(40, 140, 2, 2, 5),
+                            4),
+      options, std::make_unique<LggProtocol>(TieBreak::kRandomShuffle));
+  sim.set_arrival(std::make_unique<BernoulliArrival>(0.9));
+  sim.set_loss(std::make_unique<BernoulliLoss>(0.05));
+  EXPECT_EQ(run_digest(sim, 400), 0x8c6b72310c1ad95fULL);
+}
+
+TEST(Determinism, PinnedDigestShardEngineK3) {
+  SimulatorOptions options;
+  options.seed = 0x5eed0003;
+  options.declaration_policy = DeclarationPolicy::kDeclareR;
+  options.check_contract = true;
+  Simulator sim(
+      scenarios::generalize(scenarios::random_unsaturated(60, 220, 3, 3, 23),
+                            2),
+      options, std::make_unique<LggProtocol>(TieBreak::kRandomShuffle));
+  sim.set_arrival(std::make_unique<BernoulliArrival>(0.85));
+  sim.set_loss(std::make_unique<BernoulliLoss>(0.1));
+  sim.set_dynamics(std::make_unique<RandomChurn>(0.04, 0.3));
+  sim.enable_sharding(3, 3);
+  EXPECT_EQ(run_digest(sim, 400), 0x909665722654821cULL);
 }
 
 TEST(Determinism, ReplicateSeedsIndependentOfThreadCount) {
