@@ -1,0 +1,200 @@
+// Pinned digests of armed telemetry output.  The Determinism.PinnedDigest*
+// tests lock the trajectory (queues, Σq², stats); these lock what an
+// armed Telemetry session writes on top of it: the JSONL stream (snapshot
+// lines with per-node drift, "hotspots" lines with both Space-Saving
+// sketches and the occupancy histogram), the flight-recorder dump, and
+// the checkpoint bytes that carry the sketch and ring state.
+//
+// Each fixture runs twice, once with a flight ring smaller than a step's
+// transmissions (every batch overwrites the whole ring) and once with a
+// ring larger than a step's transmissions (batches wrap across steps).
+// The flight dump and the checkpoint are taken every kCaptureEvery
+// steps, never on a snapshot step, so the last events in the ring are
+// the step's own transmissions rather than a snapshot event.  The values
+// were recorded before the telemetry hot path lost its sorts, hash maps
+// and libm calls; re-record only for a deliberate change to the output
+// format.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "lgg.hpp"
+
+namespace lgg::core {
+namespace {
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct ArmedDigests {
+  std::uint64_t telemetry = 0;
+  std::uint64_t flight = 0;
+  std::uint64_t checkpoint = 0;
+};
+
+constexpr int kSteps = 305;
+constexpr int kCaptureEvery = 61;  // coprime to the snapshot cadence, 10
+constexpr std::size_t kSmallRing = 3;
+constexpr std::size_t kLargeRing = 1024;
+
+/// Runs `sim` armed with hotspot_k = k and a flight ring of `capacity`,
+/// and digests the three armed outputs: the whole JSONL stream, and the
+/// flight dumps and checkpoints captured along the run.
+ArmedDigests run_armed(Simulator& sim, std::size_t k, std::size_t capacity) {
+  obs::TelemetryOptions topts;
+  topts.snapshot_every = 10;
+  topts.flight_capacity = capacity;
+  topts.hotspot_k = k;
+  obs::Telemetry telemetry(topts);
+  std::ostringstream stream;
+  obs::OstreamJsonlSink sink(stream);
+  telemetry.set_sink(&sink);
+  sim.set_telemetry(&telemetry);
+  PacketCount max_proposed = 0;
+  PacketCount min_proposed = -1;
+  std::ostringstream flight;
+  std::ostringstream ckpt(std::ios::binary);
+  for (int t = 0; t < kSteps; ++t) {
+    const StepStats s = sim.step();
+    if (s.proposed > max_proposed) max_proposed = s.proposed;
+    if (t >= kSteps / 2 && (min_proposed < 0 || s.proposed < min_proposed)) {
+      min_proposed = s.proposed;
+    }
+    if ((t + 1) % kCaptureEvery == 0) {
+      telemetry.dump_flight(flight);
+      sim.save_checkpoint(ckpt);
+    }
+  }
+  EXPECT_TRUE(sim.conserves_packets());
+  // The fixtures must straddle the ring size the way their names say.
+  if (capacity == kSmallRing) {
+    EXPECT_GT(min_proposed, static_cast<PacketCount>(capacity));
+  } else {
+    EXPECT_LT(max_proposed, static_cast<PacketCount>(capacity));
+    EXPECT_GT(telemetry.flight()->recorded(), capacity);
+  }
+  sim.set_telemetry(nullptr);
+  return {fnv1a(stream.str()), fnv1a(flight.str()), fnv1a(ckpt.str())};
+}
+
+void expect_digests(const ArmedDigests& got, const ArmedDigests& want) {
+  EXPECT_EQ(got.telemetry, want.telemetry);
+  EXPECT_EQ(got.flight, want.flight);
+  EXPECT_EQ(got.checkpoint, want.checkpoint);
+}
+
+/// K = 1: every sketch update is a hit or an eviction of the only slot.
+std::unique_ptr<Simulator> single_slot_fixture() {
+  SimulatorOptions options;
+  options.seed = 0xA7ED0001;
+  auto sim = std::make_unique<Simulator>(
+      scenarios::random_unsaturated(48, 160, 3, 2, 11), options);
+  sim->set_arrival(std::make_unique<BernoulliArrival>(0.8));
+  sim->set_loss(std::make_unique<BernoulliLoss>(0.1));
+  return sim;
+}
+
+/// K = 3, heavy loss, random tie-break.
+std::unique_ptr<Simulator> lossy_shuffle_fixture() {
+  SimulatorOptions options;
+  options.seed = 0xA7ED0002;
+  auto sim = std::make_unique<Simulator>(
+      scenarios::random_unsaturated(48, 160, 3, 2, 11), options,
+      std::make_unique<LggProtocol>(TieBreak::kRandomShuffle));
+  sim->set_arrival(std::make_unique<BernoulliArrival>(0.9));
+  sim->set_loss(std::make_unique<BernoulliLoss>(0.3));
+  return sim;
+}
+
+/// K = 8, edge churn, shard engine with three shards.
+std::unique_ptr<Simulator> sharded_churn_fixture() {
+  SimulatorOptions options;
+  options.seed = 0xA7ED0003;
+  auto sim = std::make_unique<Simulator>(
+      scenarios::random_unsaturated(60, 220, 3, 3, 23), options);
+  sim->set_arrival(std::make_unique<BernoulliArrival>(0.85));
+  sim->set_loss(std::make_unique<BernoulliLoss>(0.05));
+  sim->set_dynamics(std::make_unique<RandomChurn>(0.04, 0.3));
+  sim->enable_sharding(3, 3);
+  return sim;
+}
+
+/// K = 64 on 24 nodes: the sketches never fill, so nothing is evicted.
+constexpr std::size_t kOversizedK = 64;
+std::unique_ptr<Simulator> oversized_k_fixture() {
+  SimulatorOptions options;
+  options.seed = 0xA7ED0004;
+  auto sim = std::make_unique<Simulator>(
+      scenarios::random_unsaturated(24, 80, 2, 2, 7), options);
+  sim->set_arrival(std::make_unique<BernoulliArrival>(0.7));
+  sim->set_loss(std::make_unique<BernoulliLoss>(0.02));
+  return sim;
+}
+
+TEST(ArmedDigest, SingleSlotSmallRing) {
+  auto sim = single_slot_fixture();
+  expect_digests(run_armed(*sim, 1, kSmallRing),
+                 {0x5c608328d3ac132aULL, 0xb8a4681ec6fd04baULL,
+                  0xc0199a4c18156725ULL});
+}
+
+TEST(ArmedDigest, SingleSlotLargeRing) {
+  auto sim = single_slot_fixture();
+  expect_digests(run_armed(*sim, 1, kLargeRing),
+                 {0xf9c6c199f2145f9aULL, 0x91b82849b2868b52ULL,
+                  0x8215223183360d7bULL});
+}
+
+TEST(ArmedDigest, LossyShuffleSmallRing) {
+  auto sim = lossy_shuffle_fixture();
+  expect_digests(run_armed(*sim, 3, kSmallRing),
+                 {0x3dd7f5b2569df0cdULL, 0x1c1515c7f8dcfc43ULL,
+                  0xf4bbf207ee5e4bb1ULL});
+}
+
+TEST(ArmedDigest, LossyShuffleLargeRing) {
+  auto sim = lossy_shuffle_fixture();
+  expect_digests(run_armed(*sim, 3, kLargeRing),
+                 {0xe5f325b9bbe570bdULL, 0xe3f3967bfe8fa0d7ULL,
+                  0x79d98853bee74f95ULL});
+}
+
+TEST(ArmedDigest, ShardedChurnSmallRing) {
+  auto sim = sharded_churn_fixture();
+  expect_digests(run_armed(*sim, 8, kSmallRing),
+                 {0x8cacbf525323ce11ULL, 0x162d04a7eb2c1071ULL,
+                  0x10859c9130072672ULL});
+}
+
+TEST(ArmedDigest, ShardedChurnLargeRing) {
+  auto sim = sharded_churn_fixture();
+  expect_digests(run_armed(*sim, 8, kLargeRing),
+                 {0x7d8b019f8a45baa5ULL, 0xe8e14ff28f6f7bedULL,
+                  0x9a334d310302cea1ULL});
+}
+
+TEST(ArmedDigest, OversizedKSmallRing) {
+  auto sim = oversized_k_fixture();
+  expect_digests(run_armed(*sim, kOversizedK, kSmallRing),
+                 {0x12c2c92d1d4017e7ULL, 0x8a803cf7a8dec3adULL,
+                  0x3fb70c29bcaf1db8ULL});
+}
+
+TEST(ArmedDigest, OversizedKLargeRing) {
+  auto sim = oversized_k_fixture();
+  expect_digests(run_armed(*sim, kOversizedK, kLargeRing),
+                 {0x3a7c54ed6e7f6663ULL, 0x82df223f07f1883cULL,
+                  0xe67510d7cb3a977cULL});
+}
+
+}  // namespace
+}  // namespace lgg::core
