@@ -26,7 +26,8 @@ Sweep& Sweep::add_range(double lo, double hi, int count) {
                          [&l](const SweepPoint& pt) { return pt.label == l; });
     };
     if (taken(label)) {
-      label += "#" + std::to_string(points_.size());
+      label += '#';
+      label += std::to_string(points_.size());
     }
     add_point(std::move(label), p);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <random>
 
 #include "common/binio.hpp"
 #include "common/require.hpp"
@@ -10,13 +11,53 @@ namespace lgg::core {
 
 BernoulliLoss::BernoulliLoss(double p) : p_(p) {
   LGG_REQUIRE(p >= 0.0 && p <= 1.0, "BernoulliLoss: p in [0,1]");
+  if (p > 0.0 && p < 1.0) threshold_ = raw_threshold(p);
+}
+
+std::uint64_t BernoulliLoss::raw_threshold(double p) {
+  LGG_REQUIRE(p > 0.0 && p < 1.0, "BernoulliLoss::raw_threshold: 0 < p < 1");
+  // An engine that yields one fixed word, so the distribution's own
+  // arithmetic decides each probe.
+  struct FixedWord {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~std::uint64_t{0}; }
+    result_type operator()() const { return word; }
+    result_type word;
+  };
+  const auto fires = [p](std::uint64_t word) {
+    FixedWord engine{word};
+    return std::bernoulli_distribution(p)(engine);
+  };
+  // fires(0) holds (0 < p) and fires(max) does not (the canonical value
+  // of the top word is the largest double below 1, which is >= p), so
+  // the invariant fires(lo) && !fires(hi) brackets T = hi.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = ~std::uint64_t{0};
+  LGG_ASSERT(fires(lo) && !fires(hi));
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (fires(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
 }
 
 void BernoulliLoss::mark_losses(const StepView&,
                                 std::span<const Transmission> txs, Rng& rng,
                                 std::vector<char>& lost) {
+  // Rng::bernoulli draws nothing at p = 0 or p = 1; neither does this.
+  if (p_ <= 0.0) return;
+  if (p_ >= 1.0) {
+    std::fill_n(lost.begin(), txs.size(), 1);
+    return;
+  }
+  SplitMix64Engine& engine = rng.engine();
   for (std::size_t i = 0; i < txs.size(); ++i) {
-    if (rng.bernoulli(p_)) lost[i] = 1;
+    lost[i] |= static_cast<char>(engine() < threshold_);
   }
 }
 

@@ -41,7 +41,9 @@ class NoLoss final : public LossModel {
                    std::vector<char>&) override {}
 };
 
-/// Each transmission independently fails with probability p.
+/// Each transmission independently fails with probability p.  Marks
+/// exactly the transmissions Rng::bernoulli(p) would, draw for draw, but
+/// compares each raw engine word with a threshold found once per p.
 class BernoulliLoss final : public LossModel {
  public:
   explicit BernoulliLoss(double p);
@@ -49,8 +51,16 @@ class BernoulliLoss final : public LossModel {
   void mark_losses(const StepView&, std::span<const Transmission>, Rng& rng,
                    std::vector<char>& lost) override;
 
+  /// The raw-word threshold T for 0 < p < 1:
+  /// std::bernoulli_distribution(p) returns true exactly for the engine
+  /// words below T.  The distribution compares generate_canonical(g) < p,
+  /// which is monotone in the raw word, so a binary search over that
+  /// same call finds T exactly.
+  [[nodiscard]] static std::uint64_t raw_threshold(double p);
+
  private:
   double p_;
+  std::uint64_t threshold_ = 0;
 };
 
 /// Deterministic pattern: every `period`-th transmission (counting across

@@ -445,14 +445,14 @@ void Simulator::record_churn_flight_events(obs::Telemetry* tel) {
 
 void Simulator::record_tx_flight_events(obs::Telemetry* tel) {
   if (tel == nullptr || tel->flight() == nullptr) return;
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
+  tel->flight()->record_batch(txs_.size(), [this](std::size_t i) {
     const Transmission& tx = txs_[i];
     const obs::EventKind kind = !keep_[i] ? obs::EventKind::kDrop
                                 : lost_[i] ? obs::EventKind::kLoss
                                            : obs::EventKind::kSend;
-    tel->record_event(
-        {t_, kind, tx.from, tx.to, static_cast<std::int64_t>(tx.edge)});
-  }
+    return obs::FlightEvent{t_, kind, tx.from, tx.to,
+                            static_cast<std::int64_t>(tx.edge)};
+  });
 }
 
 void Simulator::step_epilogue(StepStats& stats, obs::Telemetry* tel,

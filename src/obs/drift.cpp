@@ -1,6 +1,7 @@
 #include "obs/drift.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/binio.hpp"
 #include "common/require.hpp"
@@ -22,22 +23,29 @@ std::string_view to_string(DriftCause cause) {
 void DriftAttributor::bind(NodeId node_count) {
   LGG_REQUIRE(node_count >= 0, "DriftAttributor: negative node count");
   const auto n = static_cast<std::size_t>(node_count);
+  node_count_ = node_count;
   per_node_.assign(n * kDriftCauseCount, 0);
-  touched_flag_.assign(n, 0);
-  touched_.clear();
+  const std::size_t words = (n + 63) / 64;
+  touched_words_.assign(words, 0);
+  touched_summary_.assign((words + 63) / 64, 0);
   for (auto& c : by_cause_step_) c = 0;
   for (auto& c : by_cause_total_) c = 0;
 }
 
 void DriftAttributor::begin_step() {
-  for (const NodeId v : touched_) {
+  for_each_touched([this](NodeId v) {
     const auto i = static_cast<std::size_t>(v);
-    touched_flag_[i] = 0;
     for (std::size_t c = 0; c < kDriftCauseCount; ++c) {
       per_node_[i * kDriftCauseCount + c] = 0;
     }
+  });
+  for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
+    for (std::uint64_t words = touched_summary_[s]; words != 0;
+         words &= words - 1) {
+      touched_words_[(s << 6) + std::countr_zero(words)] = 0;
+    }
+    touched_summary_[s] = 0;
   }
-  touched_.clear();
   for (auto& c : by_cause_step_) c = 0;
 }
 
@@ -71,12 +79,10 @@ void DriftAttributor::write_snapshot(JsonWriter& json) const {
                static_cast<std::int64_t>(by_cause_total_[c]));
   }
   json.end_object();
-  // Touched order depends on mutation order; sort so the emitted bytes
-  // are a pure function of the step, not of phase interleaving.
-  std::vector<NodeId> nodes = touched_;
-  std::sort(nodes.begin(), nodes.end());
+  // Ascending id order, so the emitted bytes are a pure function of the
+  // step, not of phase interleaving.
   json.begin_array("per_node");
-  for (const NodeId v : nodes) {
+  for_each_touched([&](NodeId v) {
     json.begin_object();
     json.field("v", static_cast<std::int64_t>(v));
     json.field("dP", node_drift(v));
@@ -86,7 +92,7 @@ void DriftAttributor::write_snapshot(JsonWriter& json) const {
       if (d != 0) json.field(to_string(cause), d);
     }
     json.end_object();
-  }
+  });
   json.end_array();
   json.end_object();
 }

@@ -17,9 +17,13 @@
 // whenever the true values fit in int64 — far beyond any bounded run.
 //
 // Per-step storage is sparse: only nodes touched this step are reset on
-// the next begin_step, so the cost scales with activity, not with n.
+// the next begin_step, so the cost scales with activity, not with n.  The
+// touched set is a two-level bitset (one bit per node, one summary bit per
+// 64-node word), which yields the nodes in ascending id order without a
+// sort.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -51,21 +55,19 @@ class DriftAttributor {
   /// Sizes the per-node tables; `node_count` must match the simulator.
   void bind(NodeId node_count);
 
-  [[nodiscard]] NodeId node_count() const {
-    return static_cast<NodeId>(touched_flag_.size());
-  }
+  [[nodiscard]] NodeId node_count() const { return node_count_; }
 
-  /// Clears the previous step's sparse contributions (O(nodes touched)).
+  /// Clears the previous step's sparse contributions
+  /// (O(nodes touched + n/4096)).
   void begin_step();
 
   /// Adds one mutation's ΔP contribution for (node, cause).  `delta_p` is
   /// δ(2q+δ) computed by the caller in wraparound-safe arithmetic.
   void record(NodeId v, DriftCause cause, std::uint64_t delta_p) {
     const auto i = static_cast<std::size_t>(v);
-    if (!touched_flag_[i]) {
-      touched_flag_[i] = 1;
-      touched_.push_back(v);
-    }
+    const std::size_t w = i >> 6;
+    touched_words_[w] |= std::uint64_t{1} << (i & 63);
+    touched_summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
     per_node_[i * kDriftCauseCount + static_cast<std::size_t>(cause)] +=
         delta_p;
     by_cause_step_[static_cast<std::size_t>(cause)] += delta_p;
@@ -92,9 +94,20 @@ class DriftAttributor {
         per_node_[static_cast<std::size_t>(v) * kDriftCauseCount +
                   static_cast<std::size_t>(cause)]);
   }
-  /// Nodes with at least one recorded mutation this step (unsorted).
-  [[nodiscard]] const std::vector<NodeId>& touched() const {
-    return touched_;
+  /// Calls f(v) for every node with at least one recorded mutation this
+  /// step, in ascending id order; O(nodes touched + n/4096).
+  template <typename F>
+  void for_each_touched(F&& f) const {
+    for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
+      for (std::uint64_t words = touched_summary_[s]; words != 0;
+           words &= words - 1) {
+        const std::size_t w = (s << 6) + std::countr_zero(words);
+        for (std::uint64_t bits = touched_words_[w]; bits != 0;
+             bits &= bits - 1) {
+          f(static_cast<NodeId>((w << 6) + std::countr_zero(bits)));
+        }
+      }
+    }
   }
 
   /// Emits the "drift" object into the writer's current object:
@@ -111,8 +124,11 @@ class DriftAttributor {
 
  private:
   std::vector<std::uint64_t> per_node_;  // node-major, kDriftCauseCount wide
-  std::vector<char> touched_flag_;
-  std::vector<NodeId> touched_;
+  // Bit i of touched_words_[w] marks node 64w + i; bit j of
+  // touched_summary_[s] marks touched_words_[64s + j] as non-zero.
+  std::vector<std::uint64_t> touched_words_;
+  std::vector<std::uint64_t> touched_summary_;
+  NodeId node_count_ = 0;
   std::uint64_t by_cause_step_[kDriftCauseCount] = {};
   std::uint64_t by_cause_total_[kDriftCauseCount] = {};
 };

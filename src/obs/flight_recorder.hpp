@@ -83,9 +83,22 @@ class FlightRecorder {
       ring_.push_back(event);
     } else {
       ring_[next_] = event;
-      next_ = (next_ + 1) % capacity_;
+      if (++next_ == capacity_) next_ = 0;
     }
     ++recorded_;
+  }
+
+  /// Records make(0), ..., make(count - 1) in that order, with the same
+  /// observable result as `count` record calls — but builds only the
+  /// events that survive in the ring: once count exceeds the capacity,
+  /// the first count - capacity events would be overwritten within this
+  /// batch, so they are counted and never made.  `make` must be pure.
+  template <typename Make>
+  void record_batch(std::size_t count, Make&& make) {
+    if (capacity_ == 0) return;
+    const std::size_t skip = count > capacity_ ? count - capacity_ : 0;
+    recorded_ += skip;
+    for (std::size_t i = skip; i < count; ++i) record(make(i));
   }
 
   /// Oldest-to-newest copy of the ring.

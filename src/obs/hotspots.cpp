@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/binio.hpp"
 #include "common/require.hpp"
@@ -12,42 +14,88 @@
 
 namespace lgg::obs {
 
-SpaceSaving::SpaceSaving(std::size_t k) : k_(k) {
-  LGG_REQUIRE(k >= 1, "SpaceSaving: k >= 1");
+SpaceSaving::SpaceSaving(std::size_t k, std::size_t key_count) : k_(k) {
+  LGG_REQUIRE(k >= 1 && k < kNoSlot, "SpaceSaving: 1 <= k < 2^32 - 1");
   entries_.reserve(k);
-  index_.reserve(k * 2);
+  heap_.reserve(k);
+  heap_pos_.reserve(k);
+  slot_of_.assign(key_count, kNoSlot);
+}
+
+void SpaceSaving::bind(std::size_t key_count) {
+  for (const Entry& e : entries_) {
+    if (e.key >= key_count) {
+      throw std::runtime_error("SpaceSaving: monitored key " +
+                               std::to_string(e.key) + " is not below " +
+                               std::to_string(key_count));
+    }
+  }
+  slot_of_.assign(key_count, kNoSlot);
+  reindex();
 }
 
 void SpaceSaving::update(std::uint64_t key, std::uint64_t weight) {
+  LGG_REQUIRE(key < slot_of_.size(), "SpaceSaving: key outside [0, key_count)");
   total_ += weight;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    entries_[it->second].weight += weight;
+  const std::uint32_t hit = slot_of_[key];
+  if (hit != kNoSlot) {
+    entries_[hit].weight += weight;
+    sift(heap_pos_[hit]);
     return;
   }
   if (entries_.size() < k_) {
-    index_.emplace(key, entries_.size());
+    const auto slot = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back({key, weight, 0});
+    slot_of_[key] = slot;
+    heap_.push_back(slot);
+    heap_pos_.push_back(slot);
+    sift(slot);
     return;
   }
   // Evict the minimum-(weight, key) entry: the classic Space-Saving
   // replacement, with the key tie-break pinning determinism when several
   // monitored entries share the minimum weight.
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const Entry& best = entries_[victim];
-    if (e.weight < best.weight ||
-        (e.weight == best.weight && e.key < best.key)) {
-      victim = i;
-    }
-  }
+  const std::uint32_t victim = heap_[0];
   Entry& slot = entries_[victim];
-  index_.erase(slot.key);
-  index_.emplace(key, victim);
+  slot_of_[slot.key] = kNoSlot;
+  slot_of_[key] = victim;
   slot.error = slot.weight;
   slot.weight += weight;
   slot.key = key;
+  sift(0);
+}
+
+void SpaceSaving::sift(std::size_t pos) {
+  // Up first, then down: a new counter rises, a grown one sinks (or,
+  // after uint64 wraparound, rises), and the order must stay exact.
+  const std::uint32_t slot = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(slot, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], slot)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, slot);
+}
+
+void SpaceSaving::reindex() {
+  heap_.clear();
+  heap_pos_.clear();
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    slot_of_[entries_[slot].key] = slot;
+    heap_.push_back(slot);
+    heap_pos_.push_back(slot);
+    sift(slot);
+  }
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::top() const {
@@ -61,8 +109,10 @@ std::vector<SpaceSaving::Entry> SpaceSaving::top() const {
 
 void SpaceSaving::clear() {
   total_ = 0;
+  for (const Entry& e : entries_) slot_of_[e.key] = kNoSlot;
   entries_.clear();
-  index_.clear();
+  heap_.clear();
+  heap_pos_.clear();
 }
 
 void SpaceSaving::save_state(std::ostream& os) const {
@@ -82,27 +132,46 @@ void SpaceSaving::load_state(std::istream& is) {
     throw std::runtime_error(
         "SpaceSaving: checkpoint k does not match this sketch");
   }
-  total_ = binio::read_u64(is);
+  const std::uint64_t total = binio::read_u64(is);
   const std::uint64_t size = binio::read_u64(is);
   if (size > k_) {
     throw std::runtime_error("SpaceSaving: corrupt checkpoint entry count");
   }
-  entries_.clear();
-  index_.clear();
-  for (std::uint64_t i = 0; i < size; ++i) {
-    Entry e;
+  std::vector<Entry> entries(static_cast<std::size_t>(size));
+  for (Entry& e : entries) {
     e.key = binio::read_u64(is);
     e.weight = binio::read_u64(is);
     e.error = binio::read_u64(is);
-    index_.emplace(e.key, entries_.size());
-    entries_.push_back(e);
+    if (e.key >= slot_of_.size()) {
+      throw std::runtime_error("SpaceSaving: corrupt checkpoint key " +
+                               std::to_string(e.key) + " (not below " +
+                               std::to_string(slot_of_.size()) + ")");
+    }
   }
+  std::vector<std::uint64_t> keys(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) keys[i] = entries[i].key;
+  std::sort(keys.begin(), keys.end());
+  const auto twice = std::adjacent_find(keys.begin(), keys.end());
+  if (twice != keys.end()) {
+    throw std::runtime_error("SpaceSaving: corrupt checkpoint (key " +
+                             std::to_string(*twice) + " monitored twice)");
+  }
+  clear();
+  total_ = total;
+  entries_ = std::move(entries);
+  reindex();
 }
 
 HotspotTracker::HotspotTracker(std::size_t k, MetricRegistry& registry)
     : drift_(k),
       queue_(k),
       occupancy_(&registry.histogram("sim.queue_occupancy")) {}
+
+void HotspotTracker::bind(NodeId node_count) {
+  LGG_REQUIRE(node_count >= 0, "HotspotTracker: negative node count");
+  drift_.bind(static_cast<std::size_t>(node_count));
+  queue_.bind(static_cast<std::size_t>(node_count));
+}
 
 void HotspotTracker::observe_occupancy(PacketCount queue) {
   occupancy_->observe(static_cast<double>(queue));

@@ -16,12 +16,13 @@
 //              (time-integrated occupancy over its active steps);
 //
 // plus a log2 queue-occupancy histogram registered as
-// "sim.queue_occupancy".  Updates are O(1) amortized per *touched* node
-// (O(K) worst case on an eviction, with K a small constant) — never a
-// scan over n.  Feeding happens in ascending node order over the exact
-// touched set, which the shard engine reproduces bit-for-bit, so sketch
-// state — and therefore every emitted "hotspots" JSONL line — is
-// deterministic across shard and thread counts.
+// "sim.queue_occupancy".  Updates cost O(log K) per *touched* node and
+// allocate nothing: a dense key index finds a monitored key in O(1), and
+// a min-heap over the K counters keeps the eviction victim at its root —
+// never a scan over n or over K.  Feeding happens in ascending node order
+// over the exact touched set, which the shard engine reproduces
+// bit-for-bit, so sketch state — and therefore every emitted "hotspots"
+// JSONL line — is deterministic across shard and thread counts.
 //
 // Space-Saving guarantee (tests/obs/hotspots_test.cpp): for every
 // reported entry, true_weight <= weight and weight - error <=
@@ -32,7 +33,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -43,7 +43,8 @@ class JsonWriter;
 class Histogram;
 class MetricRegistry;
 
-/// Deterministic weighted Space-Saving sketch over uint64 keys.
+/// Deterministic weighted Space-Saving sketch over the keys
+/// [0, key_count).
 class SpaceSaving {
  public:
   struct Entry {
@@ -52,13 +53,20 @@ class SpaceSaving {
     std::uint64_t error = 0;   ///< weight - error <= true weight
   };
 
-  /// `k` is the number of monitored counters (>= 1).
-  explicit SpaceSaving(std::size_t k);
+  /// `k` is the number of monitored counters (>= 1); keys must be below
+  /// `key_count` (see bind).
+  explicit SpaceSaving(std::size_t k, std::size_t key_count = 0);
 
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::uint64_t total_weight() const { return total_; }
 
-  /// O(1) amortized: hash lookup on hits, O(K) min scan on an eviction.
+  /// Sizes the dense key index for keys [0, key_count).  Monitored
+  /// entries are kept; throws std::runtime_error if one is out of range.
+  void bind(std::size_t key_count);
+
+  /// O(log K), allocation-free: an index lookup finds a monitored key,
+  /// and the heap root is the eviction victim — the minimum (weight, key)
+  /// counter.  Throws ContractViolation unless key < key_count.
   void update(std::uint64_t key, std::uint64_t weight);
 
   /// Monitored entries sorted by weight descending, key ascending on
@@ -68,15 +76,38 @@ class SpaceSaving {
   void clear();
 
   /// Checkpoint support: entries in slot order plus the total.
-  /// load_state throws std::runtime_error when the saved k differs.
+  /// load_state throws std::runtime_error when the saved k differs, or
+  /// when a key repeats or is not below key_count; the sketch is left
+  /// unchanged then.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Heap order: the counter with the smaller (weight, key) is nearer
+  /// the root.  Keys are unique, so the order is total and the root is
+  /// exactly the counter a linear minimum scan would pick.
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
+    const Entry& x = entries_[a];
+    const Entry& y = entries_[b];
+    return x.weight < y.weight || (x.weight == y.weight && x.key < y.key);
+  }
+  /// Moves the slot at heap position `pos` to where it belongs.
+  void sift(std::size_t pos);
+  void place(std::size_t pos, std::uint32_t slot) {
+    heap_[pos] = slot;
+    heap_pos_[slot] = static_cast<std::uint32_t>(pos);
+  }
+  /// Rebuilds slot_of_, heap_ and heap_pos_ from entries_.
+  void reindex();
+
   std::size_t k_;
   std::uint64_t total_ = 0;
-  std::vector<Entry> entries_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::vector<Entry> entries_;           // slot order (checkpointed)
+  std::vector<std::uint32_t> slot_of_;   // key -> slot, kNoSlot if absent
+  std::vector<std::uint32_t> heap_;      // min-heap of slots
+  std::vector<std::uint32_t> heap_pos_;  // slot -> position in heap_
 };
 
 /// The per-run hotspot state a Telemetry session owns when hotspot_k is
@@ -91,6 +122,9 @@ class HotspotTracker {
   [[nodiscard]] std::size_t k() const { return drift_.k(); }
   [[nodiscard]] const SpaceSaving& drift_sketch() const { return drift_; }
   [[nodiscard]] const SpaceSaving& queue_sketch() const { return queue_; }
+
+  /// Sizes both sketches for node ids [0, node_count).
+  void bind(NodeId node_count);
 
   /// One touched node's end-of-step observation: `drift` is the node's
   /// signed ΔP contribution this step, `queue` its post-step length.

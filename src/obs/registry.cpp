@@ -1,6 +1,7 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/binio.hpp"
@@ -31,13 +32,16 @@ void Histogram::observe(double value) {
   std::size_t bucket = 0;
   if (value > 0.0) {
     // Bucket i covers (2^(i-2), 2^(i-1)]: ceil of log2, offset by one for
-    // the value <= 0 bucket.
-    const int exp = std::ilogb(value);
-    const double floor_pow = std::ldexp(1.0, exp);
-    const int ceil_log2 = value > floor_pow ? exp + 1 : exp;
-    const long clamped = std::max(1L, static_cast<long>(ceil_log2) + 1);
-    bucket = std::min<std::size_t>(static_cast<std::size_t>(clamped),
-                                   kBuckets - 1);
+    // the value <= 0 bucket.  Read off the bits: a positive double is
+    // 2^(e-1023) · 1.m, so ceil(log2) is e - 1023, plus one unless the
+    // mantissa is zero.  Subnormals (e = 0) and +inf (e = 2047) land in
+    // the first and last bucket through the clamp, as ilogb would put them.
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const auto biased = static_cast<long>(bits >> 52);
+    const long mantissa_nonzero = (bits & ((std::uint64_t{1} << 52) - 1)) != 0;
+    const long ceil_log2 = biased - 1023 + mantissa_nonzero;
+    bucket = static_cast<std::size_t>(
+        std::clamp(ceil_log2 + 1, 1L, static_cast<long>(kBuckets - 1)));
   }
   ++buckets_[bucket];
 }

@@ -73,6 +73,7 @@ void Telemetry::bind(NodeId node_count) {
   LGG_REQUIRE(node_count >= 0, "Telemetry: negative node count");
   node_count_ = node_count;
   drift_.bind(node_count);
+  if (hotspots_ != nullptr) hotspots_->bind(node_count);
 }
 
 void Telemetry::end_step(const StepSample& sample) {
@@ -101,17 +102,15 @@ void Telemetry::end_step(const StepSample& sample) {
   if (hotspots_ != nullptr) {
     // Feed the exact touched set in ascending node order.  The serial
     // engine discovers nodes in phase order and the shard engine in
-    // shard-fold order; sorting erases that difference, so the sketch
-    // state — and every "hotspots" line — is identical across shard and
-    // thread counts.
-    touched_scratch_.assign(drift_.touched().begin(), drift_.touched().end());
-    std::sort(touched_scratch_.begin(), touched_scratch_.end());
-    for (const NodeId v : touched_scratch_) {
+    // shard-fold order; the ascending walk erases that difference, so the
+    // sketch state — and every "hotspots" line — is identical across
+    // shard and thread counts.
+    drift_.for_each_touched([&](NodeId v) {
       const auto i = static_cast<std::size_t>(v);
       const PacketCount queue =
           i < sample.queues.size() ? sample.queues[i] : 0;
       hotspots_->observe(v, drift_.node_drift(v), queue);
-    }
+    });
   }
   if (snapshot_due(sample.t)) emit_snapshot(sample);
 }

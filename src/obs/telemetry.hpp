@@ -176,7 +176,6 @@ class Telemetry {
   DriftAttributor drift_;
   std::unique_ptr<FlightRecorder> flight_;
   std::unique_ptr<HotspotTracker> hotspots_;
-  std::vector<NodeId> touched_scratch_;  // sorted copy, reused per step
   TelemetrySink* sink_ = nullptr;
   NodeId node_count_ = 0;
   std::uint64_t sequence_ = 0;

@@ -65,7 +65,7 @@ TEST(GeneralizedBounds, DriftThresholdFollowsProperty6Formula) {
   EXPECT_DOUBLE_EQ(b.drift_threshold(eps), expect);
   // Smaller margin raises the threshold.
   EXPECT_GT(b.drift_threshold(0.1), b.drift_threshold(1.0));
-  EXPECT_THROW(b.drift_threshold(0.0), ContractViolation);
+  EXPECT_THROW((void)b.drift_threshold(0.0), ContractViolation);
 }
 
 TEST(GeneralizedBounds, RetentionInflatesGrowthBound) {

@@ -8,6 +8,10 @@
 // The chain manifest parser gets the same treatment: any flipped byte
 // yields nullopt (the trailing CRC covers everything before it), and no
 // exception may escape read_manifest.
+//
+// A CRC only catches accidents.  The hotspot sketch state is also checked
+// for meaning: a checkpoint with a valid CRC whose sketch monitors one
+// node twice, or a node the network does not have, is rejected too.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -68,6 +72,93 @@ TEST(CheckpointFuzz, EveryTruncationIsRejected) {
     auto victim = small_sim();
     EXPECT_THROW(victim->restore_checkpoint(is), core::CheckpointError)
         << "truncated to " << len << " of " << bytes.size() << " bytes";
+  }
+}
+
+/// small_sim() with hotspot telemetry attached (the simulator is declared
+/// second so it is destroyed first).
+struct HotspotSim {
+  std::unique_ptr<obs::Telemetry> telemetry;
+  std::unique_ptr<core::Simulator> sim;
+};
+
+HotspotSim hotspot_sim() {
+  obs::TelemetryOptions topts;
+  topts.hotspot_k = 4;
+  HotspotSim h{std::make_unique<obs::Telemetry>(topts), small_sim()};
+  h.sim->set_telemetry(h.telemetry.get());
+  return h;
+}
+
+/// Overwrites the key of the queue sketch's `from_end`-th last entry and
+/// re-seals the payload CRC.  The payload ends with the queue sketch's
+/// 24-byte (key, weight, error) entries, then the admission flag byte.
+std::string with_queue_key(std::string bytes, std::size_t from_end,
+                           std::uint64_t key) {
+  constexpr std::size_t kCrcAt = sizeof(core::kCheckpointMagic) + 4 + 8;
+  constexpr std::size_t kPayloadAt = kCrcAt + 4;
+  const std::size_t at = bytes.size() - 1 - 24 * from_end;
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>(key >> (8 * i));
+  }
+  const std::uint32_t crc = core::crc32(bytes.data() + kPayloadAt,
+                                        bytes.size() - kPayloadAt);
+  for (int i = 0; i < 4; ++i) {
+    bytes[kCrcAt + i] = static_cast<char>(crc >> (8 * i));
+  }
+  return bytes;
+}
+
+std::uint64_t read_key(const std::string& bytes, std::size_t from_end) {
+  const std::size_t at = bytes.size() - 1 - 24 * from_end;
+  std::uint64_t key = 0;
+  for (int i = 0; i < 8; ++i) {
+    key |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
+           << (8 * i);
+  }
+  return key;
+}
+
+std::string hotspot_checkpoint_bytes() {
+  HotspotSim h = hotspot_sim();
+  h.sim->run(40);
+  EXPECT_GE(h.telemetry->hotspots()->queue_sketch().top().size(), 2u);
+  std::ostringstream os(std::ios::binary);
+  h.sim->save_checkpoint(os);
+  return os.str();
+}
+
+TEST(CheckpointFuzz, ResealedHotspotCheckpointRestores) {
+  // The splice itself is sound: rewriting a key with its own value and
+  // re-sealing yields a checkpoint that restores.
+  const std::string bytes = hotspot_checkpoint_bytes();
+  const std::string same = with_queue_key(bytes, 1, read_key(bytes, 1));
+  ASSERT_EQ(same, bytes);
+  HotspotSim victim = hotspot_sim();
+  std::istringstream is(same, std::ios::binary);
+  EXPECT_NO_THROW(victim.sim->restore_checkpoint(is));
+}
+
+TEST(CheckpointFuzz, HotspotSketchDuplicateKeyIsRejected) {
+  const std::string bytes = hotspot_checkpoint_bytes();
+  ASSERT_NE(read_key(bytes, 1), read_key(bytes, 2));
+  const std::string corrupt = with_queue_key(bytes, 1, read_key(bytes, 2));
+  HotspotSim victim = hotspot_sim();
+  std::istringstream is(corrupt, std::ios::binary);
+  EXPECT_THROW(victim.sim->restore_checkpoint(is), core::CheckpointError);
+}
+
+TEST(CheckpointFuzz, HotspotSketchKeyBeyondTheNetworkIsRejected) {
+  const std::string bytes = hotspot_checkpoint_bytes();
+  const auto n =
+      static_cast<std::uint64_t>(small_sim()->network().node_count());
+  for (const std::uint64_t key :
+       {n, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    const std::string corrupt = with_queue_key(bytes, 1, key);
+    HotspotSim victim = hotspot_sim();
+    std::istringstream is(corrupt, std::ios::binary);
+    EXPECT_THROW(victim.sim->restore_checkpoint(is), core::CheckpointError)
+        << "key " << key;
   }
 }
 

@@ -109,8 +109,8 @@ void expect_exact_attribution(const std::string& protocol, bool with_faults,
     ASSERT_EQ(by_cause, dp) << "step " << step;
 
     // Every node whose queue changed must have been touched.
-    std::unordered_set<NodeId> touched(drift.touched().begin(),
-                                       drift.touched().end());
+    std::unordered_set<NodeId> touched;
+    drift.for_each_touched([&touched](NodeId v) { touched.insert(v); });
     for (std::size_t v = 0; v < after.size(); ++v) {
       if (after[v] != before[v]) {
         EXPECT_TRUE(touched.count(static_cast<NodeId>(v)) > 0)

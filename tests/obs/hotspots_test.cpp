@@ -22,13 +22,16 @@ namespace {
 
 using Stream = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
+/// Key range of every sketch below (keys are node ids in production).
+constexpr std::size_t kKeyCount = 2001;
+
 /// Replays `stream` into a fresh sketch of `k` counters and checks the
 /// Space-Saving guarantees against the exact weights:
 ///   (a) every reported weight over-estimates: true <= w;
 ///   (b) the error bound is honest: w - err <= true;
 ///   (c) every key with true weight > total / k is monitored.
 void expect_sketch_sound(const Stream& stream, std::size_t k) {
-  obs::SpaceSaving sketch(k);
+  obs::SpaceSaving sketch(k, kKeyCount);
   std::map<std::uint64_t, std::uint64_t> exact;
   std::uint64_t total = 0;
   for (const auto& [key, weight] : stream) {
@@ -58,7 +61,7 @@ void expect_sketch_sound(const Stream& stream, std::size_t k) {
 }
 
 TEST(SpaceSaving, ExactWhenKeysFitInK) {
-  obs::SpaceSaving sketch(8);
+  obs::SpaceSaving sketch(8, kKeyCount);
   for (std::uint64_t key = 0; key < 8; ++key) {
     sketch.update(key, key + 1);
     sketch.update(key, key + 1);
@@ -101,7 +104,7 @@ TEST(SpaceSaving, RotatingHeavyHittersStaysSound) {
 
 TEST(SpaceSaving, ReportsAreDeterministicAcrossRuns) {
   const auto build = [] {
-    obs::SpaceSaving sketch(4);
+    obs::SpaceSaving sketch(4, kKeyCount);
     for (std::uint64_t i = 0; i < 1000; ++i) {
       sketch.update(i % 37, (i * 7) % 11 + 1);
     }
@@ -118,7 +121,7 @@ TEST(SpaceSaving, ReportsAreDeterministicAcrossRuns) {
 }
 
 TEST(SpaceSaving, ReportOrderIsWeightDescThenKeyAsc) {
-  obs::SpaceSaving sketch(4);
+  obs::SpaceSaving sketch(4, kKeyCount);
   sketch.update(9, 5);
   sketch.update(2, 5);
   sketch.update(7, 10);
@@ -130,12 +133,12 @@ TEST(SpaceSaving, ReportOrderIsWeightDescThenKeyAsc) {
 }
 
 TEST(SpaceSaving, SaveLoadRoundTripsMidStream) {
-  obs::SpaceSaving sketch(5);
+  obs::SpaceSaving sketch(5, kKeyCount);
   for (std::uint64_t i = 0; i < 500; ++i) sketch.update(i % 23, i % 7 + 1);
 
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   sketch.save_state(blob);
-  obs::SpaceSaving twin(5);
+  obs::SpaceSaving twin(5, kKeyCount);
   twin.load_state(blob);
 
   // The twin must continue the stream identically, not just match now.
@@ -155,17 +158,18 @@ TEST(SpaceSaving, SaveLoadRoundTripsMidStream) {
 }
 
 TEST(SpaceSaving, LoadRejectsMismatchedK) {
-  obs::SpaceSaving sketch(4);
+  obs::SpaceSaving sketch(4, kKeyCount);
   sketch.update(1, 1);
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   sketch.save_state(blob);
-  obs::SpaceSaving wrong(8);
+  obs::SpaceSaving wrong(8, kKeyCount);
   EXPECT_THROW(wrong.load_state(blob), std::runtime_error);
 }
 
 TEST(HotspotTracker, OnlyPositiveDriftAndNonEmptyQueuesAccumulate) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(3, registry);
+  tracker.bind(16);
   tracker.observe(0, -5, 0);  // draining node, empty after the step
   tracker.observe(1, 7, 2);
   tracker.observe(2, 0, 4);
@@ -178,6 +182,7 @@ TEST(HotspotTracker, OnlyPositiveDriftAndNonEmptyQueuesAccumulate) {
 TEST(HotspotTracker, SnapshotLineCarriesTheSchema) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
+  tracker.bind(16);
   tracker.observe(4, 10, 3);
   tracker.observe(9, 5, 1);
   obs::JsonWriter json;
@@ -195,6 +200,7 @@ TEST(HotspotTracker, SnapshotLineCarriesTheSchema) {
 TEST(HotspotTracker, SummaryTableListsBothSketches) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
+  tracker.bind(16);
   tracker.observe(1, 3, 2);
   const std::string table = tracker.summary_table();
   EXPECT_NE(table.find("top-K positive drift"), std::string::npos);

@@ -252,7 +252,9 @@ TEST(Telemetry, AttachedButUnarmedChangesNothing) {
   // Nothing was fed: no snapshots, no step counters, no drift.
   EXPECT_EQ(telemetry.sequence(), 0u);
   EXPECT_EQ(telemetry.registry().counter("sim.steps").value(), 0u);
-  EXPECT_TRUE(telemetry.drift().touched().empty());
+  std::size_t touched = 0;
+  telemetry.drift().for_each_touched([&touched](NodeId) { ++touched; });
+  EXPECT_EQ(touched, 0u);
 }
 
 TEST(Telemetry, SnapshotStreamHasHeaderAndStableCadence) {

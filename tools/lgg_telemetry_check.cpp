@@ -100,6 +100,12 @@ struct Checker {
     return v;
   }
 
+  /// require() for fields that only have to be present.
+  void require_present(const Value& obj, const char* key, Value::Kind kind,
+                       const char* in) {
+    (void)require(obj, key, kind, in);
+  }
+
   void check_line(const Value& obj, std::size_t line_no) {
     if (obj.kind != Value::Kind::kObject) {
       throw std::runtime_error("line is not a JSON object");
@@ -145,8 +151,8 @@ struct Checker {
     } else if (type->string == "hotspots") {
       check_hotspots(obj, followed_snapshot);
     } else if (type->string == "summary") {
-      require(obj, "t", Value::Kind::kNumber, "summary");
-      require(obj, "P", Value::Kind::kNumber, "summary");
+      require_present(obj, "t", Value::Kind::kNumber, "summary");
+      require_present(obj, "P", Value::Kind::kNumber, "summary");
       ++summaries;
     } else {
       throw std::runtime_error("unknown type \"" + type->string + "\"");
@@ -169,13 +175,13 @@ struct Checker {
     }
     last_snapshot_t = t;
     have_snapshot_t = true;
-    require(obj, "P", Value::Kind::kNumber, "snapshot");
+    require_present(obj, "P", Value::Kind::kNumber, "snapshot");
     const double dp =
         require(obj, "dP", Value::Kind::kNumber, "snapshot")->number;
-    require(obj, "counters", Value::Kind::kObject, "snapshot");
+    require_present(obj, "counters", Value::Kind::kObject, "snapshot");
     const Value* gauges =
         require(obj, "gauges", Value::Kind::kObject, "snapshot");
-    require(obj, "histograms", Value::Kind::kObject, "snapshot");
+    require_present(obj, "histograms", Value::Kind::kObject, "snapshot");
 
     const Value* drift =
         require(obj, "drift", Value::Kind::kObject, "snapshot");
@@ -196,7 +202,8 @@ struct Checker {
     if (cause_sum != drift_dp) {
       throw std::runtime_error("by_cause sum != drift.dP");
     }
-    require(*drift, "cumulative_by_cause", Value::Kind::kObject, "drift");
+    require_present(*drift, "cumulative_by_cause", Value::Kind::kObject,
+                    "drift");
     const Value* per_node =
         require(*drift, "per_node", Value::Kind::kArray, "drift");
     double node_sum = 0.0;
@@ -248,8 +255,8 @@ struct Checker {
       if (multiplier < 0.0 || multiplier > 1.0) {
         throw std::runtime_error("governor.multiplier outside [0, 1]");
       }
-      require(*gauges, "governor.drift_estimate", Value::Kind::kNumber,
-              "governor gauges");
+      require_present(*gauges, "governor.drift_estimate",
+                      Value::Kind::kNumber, "governor gauges");
       const double mode =
           require(*gauges, "governor.mode", Value::Kind::kNumber,
                   "governor gauges")
@@ -316,11 +323,11 @@ struct Checker {
       have_governor_mode_t = true;
     } else if (kind->string == "edge_down" || kind->string == "edge_up") {
       // Edge churn carries the endpoints of the flipped edge.
-      require(obj, "a", Value::Kind::kNumber, kind->string.c_str());
-      require(obj, "b", Value::Kind::kNumber, kind->string.c_str());
+      require_present(obj, "a", Value::Kind::kNumber, kind->string.c_str());
+      require_present(obj, "b", Value::Kind::kNumber, kind->string.c_str());
       ++churn_events;
     } else if (kind->string == "node_leave") {
-      require(obj, "a", Value::Kind::kNumber, "node_leave");
+      require_present(obj, "a", Value::Kind::kNumber, "node_leave");
       const Value* value = obj.find("value");
       if (value != nullptr &&
           (value->kind != Value::Kind::kNumber || value->number < 0.0)) {
@@ -329,7 +336,7 @@ struct Checker {
       ++churn_events;
     } else if (kind->string == "node_join" ||
                kind->string == "rate_change") {
-      require(obj, "a", Value::Kind::kNumber, kind->string.c_str());
+      require_present(obj, "a", Value::Kind::kNumber, kind->string.c_str());
       ++churn_events;
     }
     ++events;

@@ -62,6 +62,12 @@ struct SpanRow {
   return v;
 }
 
+/// require() for fields that only have to be present.
+void require_present(const Value& obj, const char* key, Value::Kind kind,
+                     const char* in) {
+  (void)require(obj, key, kind, in);
+}
+
 /// Parses one trace file, validating every event, and returns the spans.
 std::vector<SpanRow> load_trace(const std::string& path) {
   std::ifstream file(path);
@@ -108,11 +114,11 @@ std::vector<SpanRow> load_trace(const std::string& path) {
     if (ts < 0.0 || row.dur < 0.0) {
       throw std::runtime_error(where + " has a negative ts or dur");
     }
-    require(*ev, "pid", Value::Kind::kNumber, where.c_str());
-    require(*ev, "tid", Value::Kind::kNumber, where.c_str());
+    require_present(*ev, "pid", Value::Kind::kNumber, where.c_str());
+    require_present(*ev, "tid", Value::Kind::kNumber, where.c_str());
     const Value* args =
         require(*ev, "args", Value::Kind::kObject, where.c_str());
-    require(*args, "step", Value::Kind::kNumber, where.c_str());
+    require_present(*args, "step", Value::Kind::kNumber, where.c_str());
     const Value* shard = args->find("shard");
     if (shard != nullptr) {
       if (shard->kind != Value::Kind::kNumber || shard->number < 0.0) {
