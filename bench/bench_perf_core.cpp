@@ -62,11 +62,11 @@ double measure_sharded_seconds(NodeId side, std::size_t threads,
   return wall.seconds();
 }
 
-/// steps/sec of a 5000-step run with the span tracer in one of its cost
+/// steps/sec of a 5000-step run with span tracing in one of its cost
 /// states: detached (the zero-cost claim — the hot path is one pointer
-/// test per lap site), or attached with/without hotspot analytics riding
-/// the same run (the <= 2% attached-overhead budget from the
-/// observability plane).
+/// test per lap site), or a profiler keeping span rings attached,
+/// with/without hotspot analytics riding the same run (the <= 2%
+/// attached-overhead budget from the observability plane).
 double measure_observed_steps_per_second(bool traced, std::size_t hotspot_k,
                                          DiscardSink* sink) {
   const NodeId n = 1024;
@@ -74,8 +74,8 @@ double measure_observed_steps_per_second(bool traced, std::size_t hotspot_k,
       core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
                                           2, 5),
       core::SimulatorOptions{});
-  obs::SpanTracer tracer;
-  if (traced) sim.set_tracer(&tracer);
+  core::StepProfiler tracer(std::size_t{1} << 14);
+  if (traced) sim.set_profiler(&tracer);
   obs::Telemetry telemetry([&] {
     obs::TelemetryOptions topts;
     topts.snapshot_every = 100;

@@ -13,6 +13,7 @@
 
 #include <signal.h>
 
+#include "common/backoff.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "control/sentinel.hpp"
@@ -259,7 +260,8 @@ SupervisedResult RunSupervisor::run(core::Simulator& sim, TimeStep steps,
   // attached, statistical overload is its job to govern — the supervisor
   // then aborts only on the raw backstop, i.e. govern-and-continue.
   std::optional<control::SaturationSentinel> sentinel;
-  std::int64_t backoff_ms = options_.recovery_backoff_ms;
+  common::Backoff backoff(options_.recovery_backoff_ms,
+                          options_.recovery_backoff_max_ms);
   for (;;) {
     // (Re)armed fresh on every attempt: after a rollback the sentinel
     // would otherwise see time run backwards.
@@ -376,11 +378,10 @@ SupervisedResult RunSupervisor::run(core::Simulator& sim, TimeStep steps,
       ++result.recoveries;
       result.rollback_depth =
           std::max(result.rollback_depth, recovered->rollback_depth);
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      const std::int64_t pause_ms = backoff.next();
+      if (pause_ms > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
       }
-      backoff_ms = std::min(backoff_ms > 0 ? backoff_ms * 2 : 0,
-                            options_.recovery_backoff_max_ms);
       continue;
     }
   }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/backoff.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 
@@ -62,11 +63,12 @@ std::vector<SweepRow> Sweep::run(ThreadPool& pool, int replicates,
   std::vector<std::string> errors(total);
   std::vector<int> attempts(total, 0);
   parallel_for(pool, total, [&](std::size_t flat) {
-    auto backoff = retry.backoff_initial;
+    common::Backoff backoff(retry.backoff_initial.count(),
+                            retry.backoff_max.count());
     for (int attempt = 0; attempt < retry.max_attempts; ++attempt) {
-      if (attempt > 0 && backoff.count() > 0) {
-        std::this_thread::sleep_for(backoff);
-        backoff = std::min(backoff * 2, retry.backoff_max);
+      if (attempt > 0) {
+        const std::chrono::milliseconds pause(backoff.next());
+        if (pause.count() > 0) std::this_thread::sleep_for(pause);
       }
       // Attempt 0 keeps the historical flat-index seed; retries shift by
       // whole `total` strides, so they collide with no other replicate's

@@ -22,6 +22,18 @@ void StaleLggProtocol::select_transmissions(
   }
   const std::vector<PacketCount>& stale = history_.front();
 
+  if (tie_break_ == core::TieBreak::kById) {
+    // LGG's filter-first selection against the stale declarations: its
+    // (declared, neighbour, edge) order restricted to the downhill links
+    // is exactly a full sort by (stale, neighbour, edge) cut off at q(u).
+    core::StepView stale_view = view;
+    stale_view.declared = stale;
+    by_id_.select_transmissions(stale_view, rng, out);
+    return;
+  }
+
+  // kRandomShuffle draws from the shared stream, so it keeps its own loop:
+  // LGG's addressed per-node shuffle would change the trajectory.
   const NodeId n = view.net->node_count();
   for (NodeId u = 0; u < n; ++u) {
     PacketCount budget = view.queue[static_cast<std::size_t>(u)];
@@ -37,24 +49,12 @@ void StaleLggProtocol::select_transmissions(
     auto stale_of = [&stale](NodeId v) {
       return stale[static_cast<std::size_t>(v)];
     };
-    if (tie_break_ == core::TieBreak::kRandomShuffle) {
-      std::shuffle(scratch_.begin(), scratch_.end(), rng.engine());
-      std::stable_sort(scratch_.begin(), scratch_.end(),
-                       [&](const graph::IncidentLink& a,
-                           const graph::IncidentLink& b) {
-                         return stale_of(a.neighbor) < stale_of(b.neighbor);
-                       });
-    } else {
-      std::sort(scratch_.begin(), scratch_.end(),
-                [&](const graph::IncidentLink& a,
-                    const graph::IncidentLink& b) {
-                  if (stale_of(a.neighbor) != stale_of(b.neighbor)) {
-                    return stale_of(a.neighbor) < stale_of(b.neighbor);
-                  }
-                  if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
-                  return a.edge < b.edge;
-                });
-    }
+    std::shuffle(scratch_.begin(), scratch_.end(), rng.engine());
+    std::stable_sort(scratch_.begin(), scratch_.end(),
+                     [&](const graph::IncidentLink& a,
+                         const graph::IncidentLink& b) {
+                       return stale_of(a.neighbor) < stale_of(b.neighbor);
+                     });
     for (const graph::IncidentLink& link : scratch_) {
       if (budget <= 0) break;
       if (qu > stale_of(link.neighbor)) {

@@ -33,7 +33,8 @@ class StaleLggProtocol final : public core::RoutingProtocol {
   int delay_;
   core::TieBreak tie_break_;
   std::deque<std::vector<PacketCount>> history_;  // declared snapshots
-  std::vector<graph::IncidentLink> scratch_;
+  core::LggProtocol by_id_{core::TieBreak::kById};  // kById selection
+  std::vector<graph::IncidentLink> scratch_;        // kRandomShuffle only
 };
 
 }  // namespace lgg::baselines

@@ -17,6 +17,7 @@
 #include <filesystem>
 
 #include "chaos/shrink.hpp"
+#include "common/backoff.hpp"
 #include "common/exit_codes.hpp"
 #include "common/rng.hpp"
 #include "obs/expose.hpp"
@@ -168,7 +169,8 @@ RunClass Executor::run_one(const ScenarioConfig& config) {
   const fs::path out_dir(options_.out_dir);
   const fs::path outcome_tmp = out_dir / ".child-outcome.txt";
   const std::string stem = artifact_stem(config);
-  std::int64_t backoff = options_.backoff_initial_ms;
+  common::Backoff backoff(options_.backoff_initial_ms,
+                          options_.backoff_max_ms);
   const int max_attempts = std::max(1, options_.max_attempts);
 
   RunClass result = RunClass::kQuarantined;
@@ -180,17 +182,8 @@ RunClass Executor::run_one(const ScenarioConfig& config) {
       // ±25% deterministic jitter decorrelates retry storms across a soak
       // fleet without touching the wall clock or any global RNG — the same
       // (seed, attempt) always sleeps the same span, so replays stay exact.
-      const std::int64_t quarter = backoff / 4;
-      std::int64_t jittered = backoff;
-      if (quarter > 0) {
-        const std::uint64_t mixed =
-            derive_seed(config.seed, 0xB0FFu + static_cast<unsigned>(attempt));
-        jittered += static_cast<std::int64_t>(
-                        mixed % static_cast<std::uint64_t>(2 * quarter + 1)) -
-                    quarter;
-      }
-      sleep_ms(jittered);
-      backoff = std::min(backoff * 2, options_.backoff_max_ms);
+      sleep_ms(backoff.next_jittered(derive_seed(
+          config.seed, 0xB0FFu + static_cast<unsigned>(attempt))));
       if (stop_requested()) {
         result = RunClass::kStopped;
         break;

@@ -1,7 +1,6 @@
 #include "core/parallel_step.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "common/require.hpp"
@@ -14,12 +13,6 @@ namespace {
   const std::size_t hw = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   return std::min<std::size_t>(shard_count, hw);
-}
-
-[[nodiscard]] std::uint64_t nanos_between(StepProfiler::Clock::time_point a,
-                                          StepProfiler::Clock::time_point b) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
 }  // namespace
@@ -123,72 +116,45 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
     }
   }
 
-  StepProfiler* const prof = sim.profiler_;
-  obs::SpanTracer* const trc = sim.tracer_;
+  // Phase timing: one profiler call per phase boundary and one per shard
+  // body while a profiler is attached, one null test each otherwise.
   // Lane 0 belongs to the main thread, lane s+1 to shard s; grown here,
   // outside the parallel region, so workers only ever index existing lanes.
-  if (trc != nullptr) trc->ensure_lanes(shards_.size() + 1);
-  const auto record_main_span = [&](StepPhase phase,
-                                    StepProfiler::Clock::time_point from,
-                                    StepProfiler::Clock::time_point to) {
-    trc->lane(0).record({static_cast<std::uint64_t>(sim.t_),
-                         trc->since_epoch(from), nanos_between(from, to),
-                         obs::current_thread_index(),
-                         static_cast<std::uint16_t>(phase),
-                         obs::kSerialShard});
-  };
-  StepProfiler::Clock::time_point mark{};
-  if (prof != nullptr || trc != nullptr) mark = StepProfiler::Clock::now();
-  const auto lap = [&](StepPhase phase, std::uint64_t items) {
-    if (prof == nullptr && trc == nullptr) return;
-    const auto now = StepProfiler::Clock::now();
-    if (prof != nullptr) prof->record(phase, nanos_between(mark, now), items);
-    if (trc != nullptr) record_main_span(phase, mark, now);
-    mark = now;
-  };
-  // Sharded-phase lap: wall time is the main thread's fan-out-to-join span
-  // (>= the max over shards; phases never overlap, so the eight laps still
-  // sum to the step wall time), CPU time is the sum of per-shard busy
-  // spans measured inside the workers.
-  const auto lap_parallel = [&](StepPhase phase, std::uint64_t items) {
-    if (prof == nullptr && trc == nullptr) return;
-    const auto now = StepProfiler::Clock::now();
-    if (prof != nullptr) {
-      std::uint64_t cpu = 0;
-      for (const ShardScratch& sh : shards_) cpu += sh.busy_nanos;
-      prof->record_parallel(phase, nanos_between(mark, now), cpu, items);
-    }
-    if (trc != nullptr) record_main_span(phase, mark, now);
-    mark = now;
-  };
+  StepProfiler* const prof = sim.profiler_;
+  if (prof != nullptr) {
+    prof->ensure_lanes(shards_.size() + 1);
+    prof->begin_step(static_cast<std::uint64_t>(sim.t_));
+  }
   // Fans `body(shard, scratch)` out over the pool; exceptions from any
   // shard (e.g. LGG_REQUIRE failures) rethrow here, exactly like the
-  // serial engine's in-line checks.  `phase` labels the per-shard spans.
+  // serial engine's in-line checks.  Each shard's busy interval is its
+  // CPU time for `phase`.
   const auto run_shards = [&](StepPhase phase, const auto& body) {
-    analysis::parallel_for(
-        pool_, shards_.size(), [&](std::size_t s) {
-          if (prof == nullptr && trc == nullptr) {
-            body(s, shards_[s]);
-            return;
-          }
-          const auto start = StepProfiler::Clock::now();
-          body(s, shards_[s]);
-          const auto end = StepProfiler::Clock::now();
-          shards_[s].busy_nanos = nanos_between(start, end);
-          if (trc != nullptr) {
-            trc->lane(s + 1).record(
-                {static_cast<std::uint64_t>(sim.t_), trc->since_epoch(start),
-                 nanos_between(start, end), obs::current_thread_index(),
-                 static_cast<std::uint16_t>(phase),
-                 static_cast<std::uint16_t>(s)});
-          }
-        });
+    analysis::parallel_for(pool_, shards_.size(), [&](std::size_t s) {
+      if (prof == nullptr) {
+        body(s, shards_[s]);
+        return;
+      }
+      const auto start = StepProfiler::Clock::now();
+      body(s, shards_[s]);
+      prof->lap_shard(s, phase, start);
+    });
+  };
+  // Work counter of a sharded phase: the per-shard counts before the fold.
+  const auto shard_total = [&](PacketCount StepStats::*counter) {
+    std::uint64_t total = 0;
+    for (const ShardScratch& sh : shards_) {
+      total += static_cast<std::uint64_t>(sh.stats.*counter);
+    }
+    return total;
   };
 
   // 1. Topology dynamics + fault transitions — serial: both mutate the
   // shared edge mask and the fault state machine.
   const graph::EdgeMask* active_mask = sim.phase_dynamics(stats, tel);
-  lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
+  }
 
   // 2. Injection — sharded over each shard's sources when order cannot be
   // observed: no admission controller (its shed decisions depend on call
@@ -205,7 +171,10 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
                                sim.arrival_->active_sources() == nullptr;
   if (!parallel_inject) {
     sim.phase_injection_serial(stats, tel, active_mask);
-    lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
+    if (prof != nullptr) {
+      prof->lap(StepPhase::kInjection,
+                static_cast<std::uint64_t>(stats.injected));
+    }
   } else {
     run_shards(StepPhase::kInjection, [&](std::size_t s, ShardScratch& sh) {
       for (const NodeId v : plan_.shards[s].sources) {
@@ -223,18 +192,17 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
       }
     });
     sim.last_injection_visits_ = sim.net_.sources().size();
-    std::uint64_t injected = 0;
-    for (const ShardScratch& sh : shards_) {
-      injected += static_cast<std::uint64_t>(sh.stats.injected);
+    if (prof != nullptr) {
+      prof->lap_parallel(StepPhase::kInjection,
+                         shard_total(&StepStats::injected));
     }
-    lap_parallel(StepPhase::kInjection, injected);
   }
 
   // 3. Declarations — serial: O(retention nodes) with addressed draws.
   std::uint64_t declaration_work = 0;
   const std::span<const PacketCount> declared_view =
       sim.phase_declarations(declaration_work);
-  lap(StepPhase::kDeclaration, declaration_work);
+  if (prof != nullptr) prof->lap(StepPhase::kDeclaration, declaration_work);
 
   const StepView view{&sim.net_,      &sim.incidence_,   active_mask,
                       sim.queue_,     declared_view,     sim.t_,
@@ -258,8 +226,10 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
     sim.protocol_->note_selection_work(active);
     stats.proposed = static_cast<PacketCount>(sim.txs_.size());
     sim.check_contract(view);
-    lap_parallel(StepPhase::kSelection,
-                 static_cast<std::uint64_t>(stats.proposed));
+    if (prof != nullptr) {
+      prof->lap_parallel(StepPhase::kSelection,
+                         static_cast<std::uint64_t>(stats.proposed));
+    }
   } else {
     {
       Rng rng = sim.phase_rng(StepPhase::kSelection);
@@ -267,7 +237,10 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
     }
     stats.proposed = static_cast<PacketCount>(sim.txs_.size());
     sim.check_contract(view);
-    lap(StepPhase::kSelection, static_cast<std::uint64_t>(stats.proposed));
+    if (prof != nullptr) {
+      prof->lap(StepPhase::kSelection,
+                static_cast<std::uint64_t>(stats.proposed));
+    }
   }
 
   // 5. Interference scheduling — serial: schedulers see the global
@@ -279,14 +252,20 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
   }
   stats.suppressed = static_cast<PacketCount>(
       std::count(sim.keep_.begin(), sim.keep_.end(), 0));
-  lap(StepPhase::kScheduling, static_cast<std::uint64_t>(stats.suppressed));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kScheduling,
+              static_cast<std::uint64_t>(stats.suppressed));
+  }
 
   // 6. Link-conflict resolution — serial: one pass over the kept set.
   if (sim.options_.link_conflict == LinkConflictPolicy::kDropLower) {
     stats.conflicted = static_cast<PacketCount>(resolve_link_conflicts(
         sim.txs_, sim.queue_, sim.keep_, sim.conflict_scratch_));
   }
-  lap(StepPhase::kConflict, static_cast<std::uint64_t>(stats.conflicted));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kConflict,
+              static_cast<std::uint64_t>(stats.conflicted));
+  }
 
   // 7. Losses + application.  Loss marking stays serial (loss models may
   // hold state); the application is the sharded boundary exchange: every
@@ -329,12 +308,8 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
     }
   });
   sim.record_tx_flight_events(tel);
-  {
-    std::uint64_t sent = 0;
-    for (const ShardScratch& sh : shards_) {
-      sent += static_cast<std::uint64_t>(sh.stats.sent);
-    }
-    lap_parallel(StepPhase::kLossApply, sent);
+  if (prof != nullptr) {
+    prof->lap_parallel(StepPhase::kLossApply, shard_total(&StepStats::sent));
   }
 
   // 8. Extraction — sharded over each shard's sinks; every sink's draw is
@@ -365,12 +340,9 @@ StepStats ParallelStepEngine::step(Simulator& sim) {
       sh.stats.extracted += amount;
     }
   });
-  {
-    std::uint64_t extracted = 0;
-    for (const ShardScratch& sh : shards_) {
-      extracted += static_cast<std::uint64_t>(sh.stats.extracted);
-    }
-    lap_parallel(StepPhase::kExtraction, extracted);
+  if (prof != nullptr) {
+    prof->lap_parallel(StepPhase::kExtraction,
+                       shard_total(&StepStats::extracted));
   }
   if (prof != nullptr) prof->finish_step();
 

@@ -91,7 +91,6 @@ class ParallelStepEngine {
     std::vector<std::uint64_t> drift;  // local node × kDriftCauseCount
     std::vector<char> drift_touched_flag;
     std::vector<std::uint32_t> drift_touched;  // local indices, visit order
-    std::uint64_t busy_nanos = 0;  ///< this shard's work time (profiling)
   };
 
   /// The per-shard mutation funnel (mirror of apply_queue_delta).

@@ -80,11 +80,11 @@ void Simulator::set_telemetry(obs::Telemetry* telemetry) {
   register_component_metrics();
 }
 
-void Simulator::set_tracer(obs::SpanTracer* tracer) {
-  tracer_ = tracer;
+void Simulator::set_profiler(StepProfiler* profiler) {
+  profiler_ = profiler;
   // Lane 0 is the main thread's; the shard engine grows the set to one
   // lane per shard at the top of its step.
-  if (tracer_ != nullptr) tracer_->ensure_lanes(1);
+  if (profiler_ != nullptr) profiler_->ensure_lanes(1);
 }
 
 void Simulator::set_admission(AdmissionController* admission) {
@@ -516,44 +516,31 @@ StepStats Simulator::step_serial() {
   StepStats stats;
   obs::Telemetry* const tel = arm_telemetry();
 
-  // Phase timing: two clock reads per phase when a profiler or tracer is
-  // attached, nothing otherwise.
+  // Phase timing: two clock reads per phase when a profiler is attached,
+  // one null test per phase otherwise.
   StepProfiler* const prof = profiler_;
-  obs::SpanTracer* const trc = tracer_;
-  StepProfiler::Clock::time_point mark{};
-  if (prof != nullptr || trc != nullptr) mark = StepProfiler::Clock::now();
-  const auto lap = [&](StepPhase phase, std::uint64_t items) {
-    if (prof == nullptr && trc == nullptr) return;
-    const auto now = StepProfiler::Clock::now();
-    const auto nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark)
-            .count());
-    if (prof != nullptr) prof->record(phase, nanos, items);
-    if (trc != nullptr) {
-      trc->lane(0).record({static_cast<std::uint64_t>(t_),
-                           trc->since_epoch(mark), nanos,
-                           obs::current_thread_index(),
-                           static_cast<std::uint16_t>(phase),
-                           obs::kSerialShard});
-    }
-    mark = now;
-  };
+  if (prof != nullptr) prof->begin_step(static_cast<std::uint64_t>(t_));
 
   // 1. Topology dynamics + fault transitions.
   const graph::EdgeMask* active_mask = phase_dynamics(stats, tel);
-  lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
+  }
 
   // 2. Injection.
   if (observer_ != nullptr) pre_injection_ = queue_;
   arrival_begin_step();
   phase_injection_serial(stats, tel, active_mask);
-  lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kInjection,
+              static_cast<std::uint64_t>(stats.injected));
+  }
 
   // 3. Declarations.
   std::uint64_t declaration_work = 0;
   const std::span<const PacketCount> declared_view =
       phase_declarations(declaration_work);
-  lap(StepPhase::kDeclaration, declaration_work);
+  if (prof != nullptr) prof->lap(StepPhase::kDeclaration, declaration_work);
 
   const StepView view{&net_,      &incidence_,   active_mask,
                       queue_,     declared_view, t_,
@@ -568,7 +555,10 @@ StepStats Simulator::step_serial() {
   }
   stats.proposed = static_cast<PacketCount>(txs_.size());
   check_contract(view);
-  lap(StepPhase::kSelection, static_cast<std::uint64_t>(stats.proposed));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kSelection,
+              static_cast<std::uint64_t>(stats.proposed));
+  }
 
   // 5. Interference scheduling.
   keep_.assign(txs_.size(), 1);
@@ -578,7 +568,10 @@ StepStats Simulator::step_serial() {
   }
   stats.suppressed =
       static_cast<PacketCount>(std::count(keep_.begin(), keep_.end(), 0));
-  lap(StepPhase::kScheduling, static_cast<std::uint64_t>(stats.suppressed));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kScheduling,
+              static_cast<std::uint64_t>(stats.suppressed));
+  }
 
   // 6. Link-conflict resolution: when both directions of one link are
   // scheduled, only one can use the link ("each link can transmit at most
@@ -587,7 +580,10 @@ StepStats Simulator::step_serial() {
     stats.conflicted = static_cast<PacketCount>(
         resolve_link_conflicts(txs_, queue_, keep_, conflict_scratch_));
   }
-  lap(StepPhase::kConflict, static_cast<std::uint64_t>(stats.conflicted));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kConflict,
+              static_cast<std::uint64_t>(stats.conflicted));
+  }
 
   // 7. Losses + application.  Every kept transmission removes a packet from
   // the sender; only un-lost ones arrive.
@@ -620,7 +616,9 @@ StepStats Simulator::step_serial() {
     }
   }
   record_tx_flight_events(tel);
-  lap(StepPhase::kLossApply, static_cast<std::uint64_t>(stats.sent));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kLossApply, static_cast<std::uint64_t>(stats.sent));
+  }
 
   // 8. Extraction — only sink nodes (out > 0) can extract; down or outaged
   // sinks behave as out(d) = 0 this step.
@@ -647,7 +645,10 @@ StepStats Simulator::step_serial() {
     apply_queue_delta(v, -amount, obs::DriftCause::kExtraction);
     stats.extracted += amount;
   }
-  lap(StepPhase::kExtraction, static_cast<std::uint64_t>(stats.extracted));
+  if (prof != nullptr) {
+    prof->lap(StepPhase::kExtraction,
+              static_cast<std::uint64_t>(stats.extracted));
+  }
   if (prof != nullptr) prof->finish_step();
 
   step_epilogue(stats, tel, declared_view);

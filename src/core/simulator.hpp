@@ -34,7 +34,6 @@
 #include "core/metrics.hpp"
 #include "core/profiler.hpp"
 #include "core/protocol.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 
 namespace lgg::core {
@@ -188,18 +187,14 @@ class Simulator {
   /// snapshots (small overhead).
   void set_observer(StepObserver* observer) { observer_ = observer; }
 
-  /// Attaches a per-phase profiler (wall time + work counters for the 8
-  /// step phases).  Not owned; pass nullptr to detach.  Costs two clock
-  /// reads per phase while attached, nothing when detached.
-  void set_profiler(StepProfiler* profiler) { profiler_ = profiler; }
-
-  /// Attaches a span tracer (obs/span.hpp): every phase — per shard when
-  /// the shard engine runs — records a (step, phase, shard, thread,
-  /// t_start, dur) span into a preallocated ring, exportable as a Chrome
-  /// trace.  Not owned; pass nullptr to detach.  Spans read clocks only —
-  /// no RNG, no queue access, no telemetry writes — so attaching a tracer
-  /// never perturbs the trajectory or the telemetry bytes.
-  void set_tracer(obs::SpanTracer* tracer);
+  /// Attaches a per-phase profiler (core/profiler.hpp): wall and CPU time
+  /// plus work counters for the 8 step phases and, when the profiler keeps
+  /// span rings, one span per phase — per shard when the shard engine runs
+  /// — exportable as a Chrome trace.  Not owned; pass nullptr to detach.
+  /// Costs two clock reads per phase while attached, one null test per
+  /// phase when detached.  Timing reads clocks only, so attaching a
+  /// profiler never perturbs the trajectory or the telemetry bytes.
+  void set_profiler(StepProfiler* profiler);
 
   /// Attaches a telemetry session (obs/telemetry.hpp): metric registry,
   /// per-node drift attribution, flight recorder, JSONL snapshots.  Not
@@ -372,7 +367,6 @@ class Simulator {
 
   StepObserver* observer_ = nullptr;
   StepProfiler* profiler_ = nullptr;
-  obs::SpanTracer* tracer_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   obs::DriftAttributor* drift_ = nullptr;  // non-null only while armed
   obs::Gauge* topology_gauge_ = nullptr;   // "sim.topology_version"

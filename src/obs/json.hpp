@@ -1,9 +1,9 @@
 // Minimal deterministic JSON emission for the telemetry layer.
 //
 // Every machine-readable artifact the repo emits (telemetry JSONL
-// snapshots, flight-recorder dumps, StepProfiler::json,
-// BENCH_perf_core.json) is built on this one writer so the escaping,
-// number formatting, and nesting rules are identical everywhere:
+// snapshots, flight-recorder dumps, core::StepProfiler's json() and
+// Chrome trace, BENCH_perf_core.json) is built on this one writer so the
+// escaping, number formatting, and nesting rules are identical everywhere:
 //
 //   * strings are escaped per RFC 8259 (control characters as \u00XX);
 //     well-formed UTF-8 passes through verbatim, and every invalid

@@ -2,8 +2,8 @@
 //
 // The registry is the rendezvous point between instrumented components
 // (simulator, fault injector, schedulers, protocols) and telemetry
-// sinks.  The cost discipline follows StepProfiler: a component holds a
-// raw handle pointer that stays nullptr until register_metrics is
+// sinks.  The cost discipline follows core::StepProfiler: a component
+// holds a raw handle pointer that stays nullptr until register_metrics is
 // called, so an un-instrumented run pays one branch per would-be update
 // and nothing else.  A registered update is a single add/store — no
 // locks, no lookups, no allocation (handles are stable; metrics are

@@ -173,7 +173,7 @@ TEST(IncrementalCounters, SquareDeltaIsTheDifferenceOfSquares) {
     for (const PacketCount delta :
          {PacketCount{-64}, PacketCount{-1}, PacketCount{0}, PacketCount{1},
           PacketCount{64}, -q, kTop - q}) {
-      if (q + delta < 0 || delta > kTop - q) continue;
+      if (delta > kTop - q || q + delta < 0) continue;
       const detail::QuadAccum dp = detail::square_delta(q, delta);
       EXPECT_EQ(dp, detail::square(q + delta) - detail::square(q))
           << q << " " << delta;

@@ -186,10 +186,10 @@ RunResult run_fixture(const Fixture& fx, std::uint32_t shards,
   // Span tracing attaches to the sharded runs only: spans are timing-only,
   // so a traced sharded run must still be byte-identical to the untraced
   // serial reference — tracing can never perturb the trajectory.
-  obs::SpanTracer tracer;
+  core::StepProfiler tracer(std::size_t{1} << 14);
   if (shards > 1 || threads > 1) {
     sim.enable_sharding(shards, threads);
-    sim.set_tracer(&tracer);
+    sim.set_profiler(&tracer);
   }
   EXPECT_EQ(sim.shard_count(), shards > 1 || threads > 1 ? shards : 1u);
 

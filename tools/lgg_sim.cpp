@@ -121,7 +121,6 @@
 //   edge 0 1
 //   role 0 1 0 0
 //   role 1 0 2 0' | lgg_sim --steps 5000
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -631,18 +630,13 @@ int main(int argc, char** argv) {
       sink = std::make_unique<obs::OstreamJsonlSink>(telemetry_file);
       telemetry->set_sink(sink.get());
     }
-    core::StepProfiler profiler;
-    if (profile) sim.set_profiler(&profiler);
-    // Span tracing attaches last: it reads only clocks, so its position in
-    // the wiring order is cosmetic — but the trace should cover the whole
-    // run, including a resumed one.
-    std::unique_ptr<obs::SpanTracer> tracer;
-    if (!trace_path.empty()) {
-      obs::SpanTracerOptions tropts;
-      tropts.lane_capacity = static_cast<std::size_t>(trace_capacity);
-      tracer = std::make_unique<obs::SpanTracer>(tropts);
-      sim.set_tracer(tracer.get());
-    }
+    // One profiler serves --profile and --trace-out; it keeps span rings
+    // only when tracing.  It reads clocks only, so its position in the
+    // wiring order is cosmetic — but the trace should cover the whole run,
+    // including a resumed one.
+    core::StepProfiler profiler(
+        trace_path.empty() ? 0 : static_cast<std::size_t>(trace_capacity));
+    if (profile || !trace_path.empty()) sim.set_profiler(&profiler);
     core::MetricsRecorder recorder;
 
     // --recover treats --steps as the total horizon: the healed run stops
@@ -773,18 +767,14 @@ int main(int argc, char** argv) {
     if (telemetry != nullptr && telemetry->hotspots() != nullptr) {
       std::printf("\n%s\n", telemetry->hotspots()->summary_table().c_str());
     }
-    if (tracer != nullptr) {
+    if (!trace_path.empty()) {
       std::ofstream trace(trace_path, std::ios::trunc);
       if (!trace) throw std::runtime_error("cannot write " + trace_path);
-      std::array<std::string_view, core::kStepPhaseCount> phase_names;
-      for (std::size_t p = 0; p < core::kStepPhaseCount; ++p) {
-        phase_names[p] = core::to_string(static_cast<core::StepPhase>(p));
-      }
-      const std::size_t spans = tracer->write_chrome_trace(trace, phase_names);
+      const std::size_t spans = profiler.write_chrome_trace(trace);
       std::printf("trace written to %s (%llu spans, %llu dropped)\n",
                   trace_path.c_str(),
                   static_cast<unsigned long long>(spans),
-                  static_cast<unsigned long long>(tracer->total_dropped()));
+                  static_cast<unsigned long long>(profiler.total_dropped()));
     }
 
     if (!csv_path.empty()) {

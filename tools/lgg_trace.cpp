@@ -1,5 +1,5 @@
 // lgg_trace — validator and analyzer for Chrome trace-event files written
-// by `lgg_sim --trace-out` (obs::SpanTracer::write_chrome_trace).
+// by `lgg_sim --trace-out` (core::StepProfiler::write_chrome_trace).
 //
 // Subcommands:
 //
