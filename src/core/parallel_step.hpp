@@ -1,19 +1,26 @@
 // The graph-partitioned shard engine behind Simulator::enable_sharding.
 //
-// One step runs the same eight phases as the serial engine, with the
-// node-local phases fanned out over a ShardPlan on a thread pool:
+// One skeleton, four fan-out points.  Simulator::step is the only code that
+// sequences the eight phases, for both engines; while sharding is enabled
+// it hands the node-local ones to this engine, which fans them out over a
+// ShardPlan on a thread pool:
 //
-//   1. dynamics + faults        serial   (mutates the shared edge mask)
-//   2. injection                sharded  (serial when admission control or
-//                                         a stateful arrival forces order)
-//   3. declarations             serial   (O(retention nodes), cheap)
-//   4. selection                sharded  (protocols with local_selection;
-//                                         baselines select serially)
-//   5. interference scheduling  serial   (global view of the proposal set)
-//   6. link-conflict resolution serial
-//   7. loss mark                serial   (loss models may hold state)
-//      apply                    sharded  (the boundary exchange — see below)
-//   8. extraction               sharded
+//   1. dynamics + faults        skeleton  (mutates the shared edge mask)
+//   2. injection                inject()  (the skeleton keeps it when
+//                                          admission control or a stateful
+//                                          or sparse arrival forces order)
+//   3. declarations             skeleton  (O(retention nodes), cheap)
+//   4. selection                select()  (protocols with local_selection;
+//                                          the skeleton selects for
+//                                          baselines)
+//   5. interference scheduling  skeleton  (global view of the proposal set)
+//   6. link-conflict resolution skeleton
+//   7. loss mark                skeleton  (loss models may hold state)
+//      apply                    apply()   (the boundary exchange — below)
+//   8. extraction               extract()
+//
+// begin_step() is the engine's prologue (profiler lanes, drift tables) and
+// fold() its epilogue, run by the skeleton after the last phase.
 //
 // Bitwise determinism across every (shard, thread) count rests on three
 // invariants:
@@ -63,10 +70,6 @@ class ParallelStepEngine {
   }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
 
-  /// Executes one step of `sim` (must be the simulator this engine was
-  /// built for).  Called by Simulator::step while sharding is enabled.
-  StepStats step(Simulator& sim);
-
   /// Re-derives the per-shard role lists after churn mutated node specs
   /// (node_leave/join, nudges through zero).  Ownership and node lists are
   /// untouched — churn never changes the node set — so the repaired plan
@@ -77,6 +80,9 @@ class ParallelStepEngine {
   }
 
  private:
+  // Every `sim` below is the simulator this engine was built for.
+  friend class Simulator;
+
   /// Per-shard working state; reset each step.  Accumulators are exact
   /// (wraparound-safe) mirrors of Simulator::apply_queue_delta's, folded
   /// into the simulator in shard order after the last parallel phase.
@@ -93,12 +99,39 @@ class ParallelStepEngine {
     std::vector<std::uint32_t> drift_touched;  // local indices, visit order
   };
 
+  /// Step prologue: grows the profiler to one lane per shard and sizes
+  /// the drift tables while telemetry is armed.
+  void begin_step(Simulator& sim);
+
+  // The fan-outs.  Each returns its phase's work counter, summed over the
+  // shards before the fold.
+
+  /// Phase 2: every shard injects at its own sources.
+  std::uint64_t inject(Simulator& sim);
+  /// Phase 4: every shard selects for its own nodes against `view`; the
+  /// lists merge into sim.txs_ in ascending sender order.
+  void select(Simulator& sim, const StepView& view);
+  /// Phase 7 application: every shard applies its own nodes' mutations.
+  std::uint64_t apply(Simulator& sim);
+  /// Phase 8: every shard extracts at its own sinks.
+  std::uint64_t extract(Simulator& sim);
+
+  /// Runs `body(shard, scratch)` for every shard on the pool, timing each
+  /// body on its shard's profiler lane.  Exceptions from any shard (e.g.
+  /// LGG_REQUIRE failures) rethrow on the calling thread.
+  template <typename Body>
+  void run_shards(Simulator& sim, StepPhase phase, const Body& body);
+
+  /// Σ over shards of one StepStats counter, before the fold.
+  [[nodiscard]] std::uint64_t shard_total(
+      PacketCount StepStats::*counter) const;
+
   /// The per-shard mutation funnel (mirror of apply_queue_delta).
-  void shard_apply(Simulator& sim, ShardScratch& sh, bool drift_on, NodeId v,
+  void shard_apply(Simulator& sim, ShardScratch& sh, NodeId v,
                    PacketCount delta, obs::DriftCause cause) {
     auto& q = sim.queue_[static_cast<std::size_t>(v)];
     const detail::QuadAccum dp = detail::square_delta(q, delta);
-    if (drift_on) {
+    if (sim.drift_ != nullptr) {
       const auto local =
           static_cast<std::size_t>(plan_.local_index[static_cast<std::size_t>(v)]);
       if (!sh.drift_touched_flag[local]) {
@@ -118,9 +151,9 @@ class ParallelStepEngine {
   /// order — the serial engine's proposal order.
   void merge_transmissions(std::vector<Transmission>& out);
 
-  /// Folds every shard's accumulators into the simulator, in shard order,
-  /// and resets the scratch for the next step.
-  void fold(Simulator& sim, StepStats& stats, bool drift_on);
+  /// Step epilogue: folds every shard's accumulators into the simulator
+  /// and `stats`, in shard order, and resets the scratch for the next step.
+  void fold(Simulator& sim, StepStats& stats);
 
   ShardPlan plan_;
   analysis::ThreadPool pool_;

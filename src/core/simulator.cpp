@@ -507,58 +507,95 @@ void Simulator::step_epilogue(StepStats& stats, obs::Telemetry* tel,
   ++t_;
 }
 
-StepStats Simulator::step() {
-  if (engine_ != nullptr) return engine_->step(*this);
-  return step_serial();
+std::optional<PacketCount> Simulator::sink_extraction(NodeId v) const {
+  if (faults_ != nullptr && (faults_->node_down(v) || faults_->sink_out(v))) {
+    return std::nullopt;
+  }
+  const NodeSpec& spec = net_.spec(v);
+  const PacketCount q = queue_[static_cast<std::size_t>(v)];
+  Rng rng = phase_rng(StepPhase::kExtraction, static_cast<std::uint64_t>(v));
+  PacketCount amount = 0;
+  if (options_.extraction_basis == ExtractionBasis::kSnapshot) {
+    // The paper's literal min{out(d), q_t(d)} with q_t the step-start
+    // (post-injection) snapshot, clamped to what the queue holds now.
+    amount = extraction_amount(spec, snapshot_[static_cast<std::size_t>(v)],
+                               options_.extraction_policy, rng);
+    amount = std::min(amount, q);
+  } else {
+    amount = extraction_amount(spec, q, options_.extraction_policy, rng);
+  }
+  LGG_ASSERT(amount >= 0 && amount <= q);
+  return amount;
 }
 
-StepStats Simulator::step_serial() {
+StepStats Simulator::step() {
   StepStats stats;
   obs::Telemetry* const tel = arm_telemetry();
+  // Non-null while sharding is enabled: the four node-local phases below
+  // fan out over its shards; every other part of the step runs here, once,
+  // for both engines.
+  ParallelStepEngine* const engine = engine_.get();
+  if (engine != nullptr) engine->begin_step(*this);
 
   // Phase timing: two clock reads per phase when a profiler is attached,
-  // one null test per phase otherwise.
+  // one null test per phase otherwise.  A sharded phase closes with the
+  // main thread's fan-out→join wall; its CPU time comes from the shards.
   StepProfiler* const prof = profiler_;
   if (prof != nullptr) prof->begin_step(static_cast<std::uint64_t>(t_));
+  const auto lap = [prof](StepPhase phase, std::uint64_t items,
+                          bool sharded = false) {
+    if (prof == nullptr) return;
+    if (sharded) {
+      prof->lap_parallel(phase, items);
+    } else {
+      prof->lap(phase, items);
+    }
+  };
 
   // 1. Topology dynamics + fault transitions.
   const graph::EdgeMask* active_mask = phase_dynamics(stats, tel);
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
-  }
+  lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
 
-  // 2. Injection.
+  // 2. Injection.  The shard engine takes it only when order cannot be
+  // observed: no admission controller (its shed decisions depend on call
+  // order) and a parallel-safe, dense arrival process.  A sparse process
+  // (active_sources() non-null) stays serial, already O(active sources).
+  // Each source draws its own addressed stream either way.
   if (observer_ != nullptr) pre_injection_ = queue_;
   arrival_begin_step();
-  phase_injection_serial(stats, tel, active_mask);
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kInjection,
-              static_cast<std::uint64_t>(stats.injected));
+  if (engine != nullptr && admission_ == nullptr &&
+      arrival_->parallel_safe() && arrival_->active_sources() == nullptr) {
+    lap(StepPhase::kInjection, engine->inject(*this), /*sharded=*/true);
+  } else {
+    phase_injection_serial(stats, tel, active_mask);
+    lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
   }
 
   // 3. Declarations.
   std::uint64_t declaration_work = 0;
   const std::span<const PacketCount> declared_view =
       phase_declarations(declaration_work);
-  if (prof != nullptr) prof->lap(StepPhase::kDeclaration, declaration_work);
+  lap(StepPhase::kDeclaration, declaration_work);
 
   const StepView view{&net_,      &incidence_,   active_mask,
                       queue_,     declared_view, t_,
                       topology_version_, options_.seed};
 
-  // 4. Protocol proposes transmissions.  Locally selecting protocols draw
-  // only addressed streams; the phase-global stream covers baselines.
+  // 4. Protocol proposes transmissions.  Locally selecting protocols (LGG)
+  // draw only addressed streams, so the shard engine can select per shard;
+  // baselines draw from the phase-global stream and select here.
   txs_.clear();
-  {
+  const bool shard_select = engine != nullptr && protocol_->local_selection();
+  if (shard_select) {
+    engine->select(*this, view);
+  } else {
     Rng rng = phase_rng(StepPhase::kSelection);
     protocol_->select_transmissions(view, rng, txs_);
   }
   stats.proposed = static_cast<PacketCount>(txs_.size());
   check_contract(view);
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kSelection,
-              static_cast<std::uint64_t>(stats.proposed));
-  }
+  lap(StepPhase::kSelection, static_cast<std::uint64_t>(stats.proposed),
+      shard_select);
 
   // 5. Interference scheduling.
   keep_.assign(txs_.size(), 1);
@@ -568,10 +605,7 @@ StepStats Simulator::step_serial() {
   }
   stats.suppressed =
       static_cast<PacketCount>(std::count(keep_.begin(), keep_.end(), 0));
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kScheduling,
-              static_cast<std::uint64_t>(stats.suppressed));
-  }
+  lap(StepPhase::kScheduling, static_cast<std::uint64_t>(stats.suppressed));
 
   // 6. Link-conflict resolution: when both directions of one link are
   // scheduled, only one can use the link ("each link can transmit at most
@@ -580,13 +614,11 @@ StepStats Simulator::step_serial() {
     stats.conflicted = static_cast<PacketCount>(
         resolve_link_conflicts(txs_, queue_, keep_, conflict_scratch_));
   }
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kConflict,
-              static_cast<std::uint64_t>(stats.conflicted));
-  }
+  lap(StepPhase::kConflict, static_cast<std::uint64_t>(stats.conflicted));
 
   // 7. Losses + application.  Every kept transmission removes a packet from
-  // the sender; only un-lost ones arrive.
+  // the sender; only un-lost ones arrive.  Loss models may hold state, so
+  // marking never fans out; the application does.
   if (options_.extraction_basis == ExtractionBasis::kSnapshot ||
       observer_ != nullptr) {
     snapshot_ = queue_;  // step-start (post-injection) queue for step 8
@@ -596,61 +628,50 @@ StepStats Simulator::step_serial() {
     Rng rng = phase_rng(StepPhase::kLossApply);
     loss_->mark_losses(view, txs_, rng, lost_);
   }
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
-    if (!keep_[i]) continue;
-    const Transmission& tx = txs_[i];
-    LGG_REQUIRE(queue_[static_cast<std::size_t>(tx.from)] > 0,
-                "transmission from an empty queue");
-    // A lost packet leaves the network at the sender, so its decrement is
-    // a kLoss contribution; a delivered packet's sender/receiver pair are
-    // both kForwarding.
-    apply_queue_delta(
-        tx.from, -1,
-        lost_[i] ? obs::DriftCause::kLoss : obs::DriftCause::kForwarding);
-    ++stats.sent;
-    if (lost_[i]) {
-      ++stats.lost;
-    } else {
-      apply_queue_delta(tx.to, 1, obs::DriftCause::kForwarding);
-      ++stats.delivered;
+  std::uint64_t sent = 0;
+  if (engine != nullptr) {
+    sent = engine->apply(*this);
+  } else {
+    for (std::size_t i = 0; i < txs_.size(); ++i) {
+      if (!keep_[i]) continue;
+      const Transmission& tx = txs_[i];
+      LGG_REQUIRE(queue_[static_cast<std::size_t>(tx.from)] > 0,
+                  "transmission from an empty queue");
+      // A lost packet leaves the network at the sender, so its decrement is
+      // a kLoss contribution; a delivered packet's sender/receiver pair are
+      // both kForwarding.
+      apply_queue_delta(
+          tx.from, -1,
+          lost_[i] ? obs::DriftCause::kLoss : obs::DriftCause::kForwarding);
+      ++stats.sent;
+      if (lost_[i]) {
+        ++stats.lost;
+      } else {
+        apply_queue_delta(tx.to, 1, obs::DriftCause::kForwarding);
+        ++stats.delivered;
+      }
     }
+    sent = static_cast<std::uint64_t>(stats.sent);
   }
   record_tx_flight_events(tel);
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kLossApply, static_cast<std::uint64_t>(stats.sent));
-  }
+  lap(StepPhase::kLossApply, sent, engine != nullptr);
 
   // 8. Extraction — only sink nodes (out > 0) can extract; down or outaged
   // sinks behave as out(d) = 0 this step.
-  for (const NodeId v : net_.sinks()) {
-    if (faults_ != nullptr &&
-        (faults_->node_down(v) || faults_->sink_out(v))) {
-      continue;
+  if (engine != nullptr) {
+    lap(StepPhase::kExtraction, engine->extract(*this), /*sharded=*/true);
+  } else {
+    for (const NodeId v : net_.sinks()) {
+      const std::optional<PacketCount> amount = sink_extraction(v);
+      if (!amount) continue;
+      apply_queue_delta(v, -*amount, obs::DriftCause::kExtraction);
+      stats.extracted += *amount;
     }
-    const NodeSpec& spec = net_.spec(v);
-    const PacketCount q = queue_[static_cast<std::size_t>(v)];
-    Rng rng = phase_rng(StepPhase::kExtraction, static_cast<std::uint64_t>(v));
-    PacketCount amount = 0;
-    if (options_.extraction_basis == ExtractionBasis::kSnapshot) {
-      // The paper's literal min{out(d), q_t(d)} with q_t the step-start
-      // (post-injection) snapshot, clamped to what the queue holds now.
-      amount = extraction_amount(
-          spec, snapshot_[static_cast<std::size_t>(v)],
-          options_.extraction_policy, rng);
-      amount = std::min(amount, q);
-    } else {
-      amount = extraction_amount(spec, q, options_.extraction_policy, rng);
-    }
-    LGG_ASSERT(amount >= 0 && amount <= q);
-    apply_queue_delta(v, -amount, obs::DriftCause::kExtraction);
-    stats.extracted += amount;
-  }
-  if (prof != nullptr) {
-    prof->lap(StepPhase::kExtraction,
-              static_cast<std::uint64_t>(stats.extracted));
+    lap(StepPhase::kExtraction, static_cast<std::uint64_t>(stats.extracted));
   }
   if (prof != nullptr) prof->finish_step();
 
+  if (engine != nullptr) engine->fold(*this, stats);
   step_epilogue(stats, tel, declared_view);
   return stats;
 }

@@ -267,9 +267,9 @@ class Simulator {
   void restore_checkpoint(std::istream& is);
 
  private:
-  // The shard engine is the only other writer of simulator state; it
-  // reuses the phase helpers below and mirrors apply_queue_delta with
-  // per-shard accumulators folded in shard order.
+  // The shard engine is the only other writer of simulator state: step()
+  // hands it the node-local phases, which it fans out with per-shard
+  // mirrors of apply_queue_delta folded in shard order.
   friend class ParallelStepEngine;
 
   /// The single funnel for queue mutations: updates the queue and the
@@ -303,10 +303,10 @@ class Simulator {
   /// Debug-only full-scan cross-check of the incremental counters.
   void audit_counters() const;
 
-  // The step pipeline is factored into phase helpers shared verbatim by
-  // the serial path and the shard engine (which replaces only the phases
-  // it parallelizes).  All of them assume they are called in pipeline
-  // order within one step.
+  // Phase helpers of step(), the one step skeleton of both engines.  The
+  // shard engine calls only phase_rng and sink_extraction from its
+  // fan-outs.  All of them assume they are called in pipeline order
+  // within one step.
 
   /// The Rng owning the addressed stream of (this step, phase, node).
   [[nodiscard]] Rng phase_rng(StepPhase phase,
@@ -326,9 +326,9 @@ class Simulator {
   /// before any packets() call, so stateful/adversarial processes stay
   /// bitwise engine-independent.
   void arrival_begin_step();
-  /// Phase 2, serial form (also used by the shard engine when admission
-  /// control or a stateful arrival process forces ordered calls).  Visits
-  /// every source, or — when the arrival process publishes a sparse
+  /// Phase 2, serial form (also taken under sharding when admission
+  /// control or the arrival process forces ordered calls).  Visits every
+  /// source, or — when the arrival process publishes a sparse
   /// active-source set — only the active and surging sources.
   void phase_injection_serial(StepStats& stats, obs::Telemetry* tel,
                               const graph::EdgeMask* active_mask);
@@ -339,12 +339,15 @@ class Simulator {
   void record_churn_flight_events(obs::Telemetry* tel);
   /// Phase 7 tail: per-transmission flight-recorder events.
   void record_tx_flight_events(obs::Telemetry* tel);
+  /// Phase 8 for sink `v`: the packets it extracts this step —
+  /// min{out(d), q_t(d)} on the configured basis, a snapshot basis clamped
+  /// to what the queue holds now — or nullopt when it is down or in an
+  /// outage, in which case its queue is not touched at all.
+  [[nodiscard]] std::optional<PacketCount> sink_extraction(NodeId v) const;
   /// Common step tail: cumulative stats, counter audit, telemetry sample,
   /// observer callback, step counter.
   void step_epilogue(StepStats& stats, obs::Telemetry* tel,
                      std::span<const PacketCount> declared_view);
-  /// Serial engine body.
-  StepStats step_serial();
 
   SdNetwork net_;
   SimulatorOptions options_;

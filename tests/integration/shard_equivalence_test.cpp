@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/protocol_registry.hpp"
 #include "control/governor.hpp"
 #include "lgg.hpp"
 #include "traffic/adversary.hpp"
@@ -28,6 +29,9 @@ struct Fixture {
   core::SdNetwork (*network)();
   void (*configure)(core::Simulator&);
   bool governed = false;  ///< attach an AdmissionGovernor (serial injection)
+  /// baselines::make_protocol name; nullptr runs the default LGG.
+  const char* protocol = nullptr;
+  bool observed = false;  ///< attach a StepObserver and compare its records
 };
 
 core::SdNetwork stochastic_net() { return core::scenarios::grid_single(4, 5); }
@@ -146,6 +150,14 @@ const std::vector<Fixture>& fixtures() {
       {"adversary-queue-aware", stochastic_net, configure_adversary, false},
       {"scheduled-churn", stochastic_net, configure_scheduled_churn, false},
       {"governed-churn", stochastic_net, configure_governed_churn, true},
+      // Random walk selects globally, so the shard engine must fall back to
+      // serial selection.
+      {"random-walk", stochastic_net, configure_stochastic, false,
+       "random_walk"},
+      // The observer's records alias pre_injection_, snapshot_ and the
+      // declarations, so engine skew in any of them fails here.
+      {"observed", stochastic_net, configure_stochastic, false, nullptr,
+       true},
   };
   return kFixtures;
 }
@@ -153,9 +165,45 @@ const std::vector<Fixture>& fixtures() {
 struct RunResult {
   std::string telemetry;   ///< full JSONL byte stream
   std::string checkpoint;  ///< final checkpoint bytes
+  std::string records;     ///< every StepRecord, flattened (observed runs)
   std::vector<double> potential;
   std::vector<PacketCount> queues;
   core::CumulativeStats totals;
+};
+
+/// Flattens every StepRecord it sees into one comparable string.
+class RecordingObserver final : public core::StepObserver {
+ public:
+  explicit RecordingObserver(std::string& out) : out_(out) {}
+
+  void on_step(const core::StepRecord& r) override {
+    std::ostringstream os;
+    const auto put = [&os](const char* name, const auto& span) {
+      os << name << ':';
+      for (const auto x : span) os << ' ' << static_cast<std::int64_t>(x);
+      os << '\n';
+    };
+    os << "t=" << r.t << '\n';
+    put("before_injection", r.before_injection);
+    put("at_selection", r.at_selection);
+    put("declared", r.declared);
+    put("after_step", r.after_step);
+    put("kept", r.kept);
+    put("lost", r.lost);
+    os << "transmissions:";
+    for (const core::Transmission& tx : r.transmissions) {
+      os << ' ' << tx.from << '>' << tx.to << '@' << tx.edge;
+    }
+    os << "\nstats: " << r.stats.injected << ' ' << r.stats.proposed << ' '
+       << r.stats.suppressed << ' ' << r.stats.conflicted << ' '
+       << r.stats.sent << ' ' << r.stats.lost << ' ' << r.stats.delivered
+       << ' ' << r.stats.extracted << ' ' << r.stats.crash_wiped << ' '
+       << r.stats.shed << '\n';
+    out_ += os.str();
+  }
+
+ private:
+  std::string& out_;
 };
 
 RunResult run_fixture(const Fixture& fx, std::uint32_t shards,
@@ -165,7 +213,10 @@ RunResult run_fixture(const Fixture& fx, std::uint32_t shards,
   core::SimulatorOptions options;
   options.seed = 0x51AB;
   options.declaration_policy = declarations;
-  core::Simulator sim(fx.network(), options);
+  core::Simulator sim(fx.network(), options,
+                      fx.protocol != nullptr
+                          ? baselines::make_protocol(fx.protocol)
+                          : nullptr);
   fx.configure(sim);
   std::unique_ptr<control::AdmissionGovernor> governor;
   if (fx.governed) {
@@ -194,6 +245,8 @@ RunResult run_fixture(const Fixture& fx, std::uint32_t shards,
   EXPECT_EQ(sim.shard_count(), shards > 1 || threads > 1 ? shards : 1u);
 
   RunResult result;
+  RecordingObserver observer(result.records);
+  if (fx.observed) sim.set_observer(&observer);
   core::MetricsRecorder recorder;
   sim.run(kHorizon, &recorder);
   result.potential.assign(recorder.network_state().begin(),
@@ -227,6 +280,7 @@ void expect_bitwise_equal(const RunResult& serial, const RunResult& sharded) {
   EXPECT_EQ(serial.telemetry, sharded.telemetry) << "telemetry bytes differ";
   EXPECT_EQ(serial.checkpoint, sharded.checkpoint)
       << "checkpoint bytes differ";
+  EXPECT_EQ(serial.records, sharded.records) << "step records differ";
 }
 
 TEST(ShardEquivalence, BitwiseIdenticalAcrossShardAndThreadMatrix) {
@@ -234,6 +288,7 @@ TEST(ShardEquivalence, BitwiseIdenticalAcrossShardAndThreadMatrix) {
     SCOPED_TRACE(fx.name);
     const RunResult serial = run_fixture(fx, 1, 1);
     ASSERT_FALSE(serial.telemetry.empty());
+    ASSERT_EQ(serial.records.empty(), !fx.observed);
     for (const std::uint32_t shards : {2u, 4u, 8u}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE("shards=" + std::to_string(shards) +

@@ -62,6 +62,8 @@
 namespace {
 
 using minijson::Parser;
+using minijson::require;
+using minijson::require_present;
 using minijson::Value;
 using minijson::ValuePtr;
 
@@ -90,21 +92,6 @@ struct Checker {
   std::size_t churn_events = 0;
   std::size_t hotspot_lines = 0;
   std::size_t summaries = 0;
-
-  [[nodiscard]] const Value* require(const Value& obj, const char* key,
-                                     Value::Kind kind, const char* in) {
-    const Value* v = obj.find(key);
-    if (v == nullptr || v->kind != kind) {
-      throw std::runtime_error(std::string(in) + " needs " + key);
-    }
-    return v;
-  }
-
-  /// require() for fields that only have to be present.
-  void require_present(const Value& obj, const char* key, Value::Kind kind,
-                       const char* in) {
-    (void)require(obj, key, kind, in);
-  }
 
   void check_line(const Value& obj, std::size_t line_no) {
     if (obj.kind != Value::Kind::kObject) {

@@ -38,6 +38,8 @@
 namespace {
 
 using minijson::Parser;
+using minijson::require;
+using minijson::require_present;
 using minijson::Value;
 using minijson::ValuePtr;
 
@@ -52,21 +54,6 @@ struct SpanRow {
   double dur = 0.0;  ///< microseconds
   bool sharded = false;
 };
-
-[[nodiscard]] const Value* require(const Value& obj, const char* key,
-                                   Value::Kind kind, const char* in) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || v->kind != kind) {
-    throw std::runtime_error(std::string(in) + " needs " + key);
-  }
-  return v;
-}
-
-/// require() for fields that only have to be present.
-void require_present(const Value& obj, const char* key, Value::Kind kind,
-                     const char* in) {
-  (void)require(obj, key, kind, in);
-}
 
 /// Parses one trace file, validating every event, and returns the spans.
 std::vector<SpanRow> load_trace(const std::string& path) {

@@ -38,6 +38,23 @@ struct Value {
   }
 };
 
+/// The field `key` of `obj`, which must exist with kind `kind`; throws
+/// "<in> needs <key>" otherwise.
+[[nodiscard]] inline const Value* require(const Value& obj, const char* key,
+                                          Value::Kind kind, const char* in) {
+  const Value* v = obj.find(key);
+  if (v == nullptr || v->kind != kind) {
+    throw std::runtime_error(std::string(in) + " needs " + key);
+  }
+  return v;
+}
+
+/// require() for fields that only have to be present.
+inline void require_present(const Value& obj, const char* key,
+                            Value::Kind kind, const char* in) {
+  (void)require(obj, key, kind, in);
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -152,6 +169,11 @@ class Parser {
             }
             const std::string hex = text_.substr(pos_, 4);
             pos_ += 4;
+            for (const char h : hex) {
+              if (std::isxdigit(static_cast<unsigned char>(h)) == 0) {
+                throw std::runtime_error("bad \\u escape '" + hex + "'");
+              }
+            }
             const long code = std::strtol(hex.c_str(), nullptr, 16);
             // Validators only need the byte content for comparisons, and
             // the writer emits \u only for ASCII control characters (and
@@ -162,6 +184,9 @@ class Parser {
           default: throw std::runtime_error("bad escape");
         }
         continue;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        throw std::runtime_error("raw control character in string");
       }
       v->string.push_back(c);
     }
