@@ -63,7 +63,7 @@ void SaturationSentinel::rebuild_engines(const graph::EdgeMask* mask,
   cert_margin_.reset();
   const std::vector<flow::RatedNode> sources = net_->source_rates();
   const std::vector<flow::RatedNode> sinks = net_->sink_rates();
-  // The margin instance is feasible_at_scale's integer encoding of
+  // The margin instance is analyze_feasibility's integer encoding of
   // Definition 4 at the smallest representable ε = 1/kEpsilonDenom: every
   // capacity scaled by the denominator, source rates by denominator + 1.
   flow::ExtendedGraphOptions margin;

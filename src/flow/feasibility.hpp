@@ -13,11 +13,12 @@
 // node may appear in both the sources and the sinks list (it gets both an
 // (s*, v) and a (v, d*) arc, as in Fig. 4).
 //
-// ε is recovered by integer parametric scaling: all capacities are
-// multiplied by kEpsilonDenom and the source rates by a trial numerator; a
-// binary search finds the largest feasible numerator.  The reported ε is a
-// lower bound on the true margin (within 1/kEpsilonDenom), which keeps every
-// theoretical bound computed from it conservative.
+// ε comes from parametric scaling: with every capacity scaled by
+// B = kEpsilonDenom and the source rates by a, a cut C of G* has capacity
+// a·s(C) + r(C), s(C) being the rates of the source arcs it crosses.  Discrete
+// Newton on min cuts, from ⌊B·f*/Σin⌋ down, finds the largest a with max flow
+// a·Σin in a few solves on one G*.  ε = a/B − 1 is a lower bound on the true
+// margin (within 1/B), which keeps every bound computed from it conservative.
 #pragma once
 
 #include <span>
@@ -37,7 +38,7 @@ struct RatedNode {
   friend bool operator==(const RatedNode&, const RatedNode&) = default;
 };
 
-/// Denominator of the parametric ε search (ε resolution = 1/1024).
+/// Denominator of the parametric ε grid (ε resolution = 1/1024).
 inline constexpr Cap kEpsilonDenom = 1024;
 
 struct ExtendedGraphOptions {
@@ -75,7 +76,7 @@ struct FeasibilityReport {
   Cap max_flow_at_rates = 0; // max flow with capacities in(s)
   bool feasible = false;     // Definition 3
   bool unsaturated = false;  // Definition 4 (ε > 0)
-  double epsilon = 0.0;      // largest verified margin, ±1/kEpsilonDenom
+  double epsilon = 0.0;      // largest margin on the 1/kEpsilonDenom grid
   CutLocation location;      // min-cut placement after the exact solve
 };
 
@@ -83,10 +84,9 @@ FeasibilityReport analyze_feasibility(const graph::Multigraph& g,
                                       std::span<const RatedNode> sources,
                                       std::span<const RatedNode> sinks);
 
-/// Largest λ (as a fraction a/kEpsilonDenom rounded down) such that the
-/// network is feasible with source rates λ·in(s).  Returns 0 if the network
-/// is infeasible even at λ = 0+ (no sources), and at least 1 for a feasible
-/// network.
+/// Largest λ on the 1/kEpsilonDenom grid such that the network is feasible
+/// with source rates λ·in(s), found like ε: at least 1 exactly when the
+/// network is feasible, and then equal to 1 + ε.
 double max_arrival_scaling(const graph::Multigraph& g,
                            std::span<const RatedNode> sources,
                            std::span<const RatedNode> sinks);

@@ -57,6 +57,14 @@ TEST(NetworkIo, BadRoleLinesRejected) {
                graph::ParseError);
 }
 
+TEST(NetworkIo, HugeRatesParseButAnalysisRejectsThem) {
+  // in(0) = 2^62 is a valid sdnet rate, but G*'s scaled capacities would
+  // overflow: the analysis must throw instead of wrapping.
+  const SdNetwork net = network_from_string(
+      "nodes 2\nedge 0 1\nrole 0 4611686018427387904 0 0\nrole 1 0 1 0\n");
+  EXPECT_THROW((void)analyze(net), ContractViolation);
+}
+
 TEST(TrajectoryCsv, HeaderAndRowCount) {
   SimulatorOptions options;
   Simulator sim(scenarios::single_path(3), options);

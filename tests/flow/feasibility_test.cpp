@@ -141,18 +141,43 @@ TEST(Feasibility, BadRatesRejected) {
                ContractViolation);
 }
 
+TEST(Feasibility, OverflowingRatesRejected) {
+  // in(s) near 2^62 (an .sdnet file can say so): scaling by kEpsilonDenom
+  // or summing capacities would overflow Cap, which must throw, not wrap.
+  const graph::Multigraph g = graph::make_path(2);
+  const Cap huge = Cap{1} << 62;
+  EXPECT_THROW(analyze_feasibility(g, {{RatedNode{0, huge}}},
+                                   {{RatedNode{1, 1}}}),
+               ContractViolation);
+  EXPECT_THROW(analyze_feasibility(g, {{RatedNode{0, 1}}},
+                                   {{RatedNode{1, huge}}}),
+               ContractViolation);
+  EXPECT_THROW(analyze_feasibility(
+                   g, {{RatedNode{0, huge}, RatedNode{1, huge}}},
+                   {{RatedNode{1, 1}}}),
+               ContractViolation);
+  EXPECT_THROW(build_extended_graph(g, {{RatedNode{0, huge}}},
+                                    {{RatedNode{1, huge}}}),
+               ContractViolation);
+  ExtendedGraphOptions scaled;
+  scaled.source_scale = 4;
+  EXPECT_THROW(build_extended_graph(g, {{RatedNode{0, huge}}},
+                                    {{RatedNode{1, 1}}}, scaled),
+               ContractViolation);
+}
+
 TEST(MaxArrivalScaling, MatchesEpsilonPlusOne) {
   const graph::Multigraph g = graph::make_fat_path(2, 3);
   const double lambda =
       max_arrival_scaling(g, {{RatedNode{0, 1}}}, {{RatedNode{1, 3}}});
-  EXPECT_NEAR(lambda, 3.0, 1e-9);
+  EXPECT_EQ(lambda, 3.0);
 }
 
 TEST(MaxArrivalScaling, BelowOneForInfeasible) {
   const graph::Multigraph g = graph::make_path(2);
   const double lambda =
       max_arrival_scaling(g, {{RatedNode{0, 4}}}, {{RatedNode{1, 4}}});
-  EXPECT_NEAR(lambda, 0.25, 1e-9);
+  EXPECT_EQ(lambda, 0.25);
 }
 
 }  // namespace

@@ -64,7 +64,8 @@ TEST(ReportConsistency, MaxArrivalScalingAgreesWithEpsilon) {
     const auto r = analyze_feasibility(g, sources, sinks);
     const double lambda = max_arrival_scaling(g, sources, sinks);
     if (r.feasible) {
-      EXPECT_NEAR(lambda, 1.0 + r.epsilon, 2.0 / kEpsilonDenom) << seed;
+      // Same breakpoint, dyadic on the 1/kEpsilonDenom grid: exact.
+      EXPECT_EQ(lambda, 1.0 + r.epsilon) << seed;
     } else {
       EXPECT_LT(lambda, 1.0) << seed;
     }
