@@ -1,9 +1,9 @@
 // E15 — engineering throughput: simulator steps/second vs network size and
 // degree, flow-solver speed on G*, and thread-pool replication scaling.
-// Also prints the per-phase step profile on a sparse-source topology (2
-// sources / 2 sinks in 1024 nodes — the regime the O(1)-potential and
-// role-list optimizations target) and emits BENCH_perf_core.json so the
-// perf trajectory is machine-trackable across commits.
+// Also profiles the phases of a sparse-source topology (2 sources / 2 sinks
+// in 1024 nodes — the regime the O(1)-potential and role-list
+// optimizations target) into BENCH_perf_core.json, so the perf trajectory
+// is machine-trackable across commits.
 #include "support/bench_common.hpp"
 
 #include <fstream>
@@ -147,7 +147,8 @@ double measure_steps_per_second(TelemetryMode mode, DiscardSink* sink) {
 
 void print_report() {
   bench::banner("E15: core throughput",
-                "Per-phase breakdown of one simulator step on a "
+                "Per-phase breakdown (BENCH_perf_core.json) of one "
+                "simulator step on a "
                 "sparse-source topology, then the google-benchmark section "
                 "for steps/sec, solver times, and replication scaling.");
 
@@ -164,9 +165,10 @@ void print_report() {
   analysis::Stopwatch wall;
   sim.run(steps);
   const double seconds = wall.seconds();
-  std::printf("sparse-source phase profile (n=%d, m=%d, %lld steps):\n%s",
+  // The per-phase breakdown goes to BENCH_perf_core.json ("profile").
+  std::printf("sparse-source run (n=%d, m=%d, %lld steps):\n",
               static_cast<int>(n), static_cast<int>(4 * n),
-              static_cast<long long>(steps), profiler.table().c_str());
+              static_cast<long long>(steps));
   std::printf("wall steps/sec=%.6g  P_t=%.6g  total=%lld\n\n",
               static_cast<double>(steps) / seconds, sim.network_state(),
               static_cast<long long>(sim.total_packets()));

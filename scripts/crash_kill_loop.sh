@@ -9,11 +9,11 @@
 # difference is a crash-safety bug; the non-identical artifacts are left
 # in the output directory for triage (CI uploads them).
 #
-# usage: crash_kill_loop.sh LGG_SIM LGG_TELEMETRY_CHECK NETWORK.SDNET OUT_DIR
+# usage: crash_kill_loop.sh LGG_SIM LGG_INSPECT NETWORK.SDNET OUT_DIR
 set -u
 
-SIM=${1:?usage: crash_kill_loop.sh LGG_SIM LGG_TELEMETRY_CHECK NET OUT}
-CHECK=${2:?missing lgg_telemetry_check path}
+SIM=${1:?usage: crash_kill_loop.sh LGG_SIM LGG_INSPECT NET OUT}
+INSPECT=${2:?missing lgg_inspect path}
 NET=${3:?missing network file}
 OUT=${4:?missing output directory}
 
@@ -84,7 +84,7 @@ for spec in $SPECS; do
       leg_ok=0
     fi
   done
-  if ! "$CHECK" "$dir/telemetry.jsonl" > /dev/null; then
+  if ! "$INSPECT" telemetry "$dir/telemetry.jsonl" > /dev/null; then
     echo "FAIL: $spec: recovered telemetry fails validation"
     leg_ok=0
   fi

@@ -19,6 +19,7 @@
 #include "chaos/shrink.hpp"
 #include "common/backoff.hpp"
 #include "common/exit_codes.hpp"
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "obs/expose.hpp"
 
@@ -42,18 +43,6 @@ void sleep_ms(std::int64_t ms) {
     nanosleep(&ts, nullptr);
     ms -= step;
   }
-}
-
-void atomic_write_text(const fs::path& path, const std::string& content) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    os << content;
-    os.flush();
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);  // best effort: a failed summary write must
-                              // never kill the soak
 }
 
 /// What happened to the forked child, before verdict interpretation.
@@ -283,8 +272,9 @@ RunClass Executor::run_one(const ScenarioConfig& config) {
         }
       }
       note = why.str();
-      atomic_write_text(out_dir / "quarantine" / (stem + ".reason.txt"),
-                        note + "\n");
+      (void)common::write_file_durable(
+          (out_dir / "quarantine" / (stem + ".reason.txt")).string(),
+          note + "\n", "soak");
       result = RunClass::kQuarantined;
     }
   }
@@ -326,8 +316,10 @@ void Executor::write_summary() const {
   std::ostringstream os;
   os << summary_line() << '\n';
   for (const std::string& line : events_) os << line << '\n';
-  atomic_write_text(fs::path(options_.out_dir) / "soak-summary.txt",
-                    os.str());
+  // Best effort: a failed summary write must never stop the soak.
+  (void)common::write_file_durable(
+      (fs::path(options_.out_dir) / "soak-summary.txt").string(), os.str(),
+      "soak");
 
   // Prometheus twin: the same totals as lgg_soak_* counters, one scrape-
   // able file per soak directory.  Rides the same after-every-scenario

@@ -1,5 +1,6 @@
 // Process exit codes shared by every tool in tools/ (lgg_sim, lgg_chaos,
-// lgg_region, lgg_telemetry_check).
+// lgg_region).  lgg_inspect links no library, so it does not include this
+// header; it keeps 0 (valid), 1 (invalid) and 2 (usage or I/O error).
 //
 // CI and the chaos-soak executor triage a finished run from its exit code
 // alone — no log parsing — so the codes form a stable, documented contract

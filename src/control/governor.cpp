@@ -48,20 +48,10 @@ std::size_t AdmissionGovernor::source_index(NodeId v) const {
 void AdmissionGovernor::begin_step(const StepContext& ctx) {
   if (ctx.topology_version != last_topology_version_) {
     last_topology_version_ = ctx.topology_version;
-    if (options_.incremental_certificates) {
-      // Patch the warm-started certificate in place: the verdict is exact
-      // for the post-churn topology before this step's admissions, so no
-      // stale window ever opens.
-      sentinel_.patch_certificate(ctx.active_mask, ctx.churn);
-      last_cert_t_ = ctx.t;
-    } else {
-      cert_dirty_ = true;
-      sentinel_.mark_certificate_stale();
-    }
-  }
-  if (cert_dirty_ && ctx.t - last_cert_t_ >= options_.certificate_backoff) {
-    sentinel_.refresh_certificate(ctx.active_mask);
-    cert_dirty_ = false;
+    // Patch the warm-started certificate in place: the verdict is exact
+    // for the post-churn topology before this step's admissions, so no
+    // stale window ever opens.
+    sentinel_.patch_certificate(ctx.active_mask, ctx.churn);
     last_cert_t_ = ctx.t;
   }
   sentinel_.observe(ctx.t, ctx.potential);
@@ -169,7 +159,10 @@ void AdmissionGovernor::save_state(std::ostream& out) const {
   binio::write_u8(out, engaged_ ? 1 : 0);
   binio::write_f64(out, overload_bound_);
   binio::write_u64(out, last_topology_version_);
-  binio::write_u8(out, cert_dirty_ ? 1 : 0);
+  // Reserved, always 0: the byte once flagged a stale certificate awaiting
+  // a from-scratch re-solve.  Kept so the checkpoint layout (and version)
+  // is unchanged.
+  binio::write_u8(out, 0);
   binio::write_i64(out, last_cert_t_);
   binio::write_i64(out, total_shed_);
   binio::write_u32(out, static_cast<std::uint32_t>(sources_.size()));
@@ -190,7 +183,10 @@ void AdmissionGovernor::load_state(std::istream& in) {
   engaged_ = binio::read_u8(in) != 0;
   overload_bound_ = binio::read_f64(in);
   last_topology_version_ = binio::read_u64(in);
-  cert_dirty_ = binio::read_u8(in) != 0;
+  // Reserved byte (see save_state).  A non-zero value came from a
+  // stale-certificate path this build no longer has, so it cannot resume.
+  LGG_REQUIRE(binio::read_u8(in) == 0,
+              "governor state: stale-certificate flag set");
   last_cert_t_ = binio::read_i64(in);
   total_shed_ = binio::read_i64(in);
   const std::uint32_t count = binio::read_u32(in);

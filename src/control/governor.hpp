@@ -48,16 +48,6 @@ struct GovernorOptions {
   TimeStep hold_steps = 32;
   /// Steps of uninterrupted kUnsaturated required before probing starts.
   TimeStep quiet_steps = 128;
-  /// Minimum steps between exact certificate re-checks after churn.  Only
-  /// consulted when incremental_certificates is off — the patch path keeps
-  /// the certificate continuously valid with no backoff window.
-  TimeStep certificate_backoff = 64;
-  /// Patch the feasibility certificate incrementally on every topology
-  /// change (warm-started max-flow, O(affected region)) instead of marking
-  /// it stale and re-solving from scratch after certificate_backoff steps.
-  /// The verdict is then valid on every step — churn never opens a window
-  /// where the sentinel runs certificate-free.
-  bool incremental_certificates = true;
   /// Use the ordered brownout ladder instead of uniform shedding.
   bool brownout = false;
   SentinelOptions sentinel;
@@ -111,7 +101,6 @@ class AdmissionGovernor final : public core::AdmissionController {
   bool engaged_ = false;      // shed at least once since construction
   double overload_bound_ = 0.0;
   std::uint64_t last_topology_version_ = 0;
-  bool cert_dirty_ = false;
   TimeStep last_cert_t_ = 0;
 
   std::vector<double> effective_;   // per-source multiplier (brownout)

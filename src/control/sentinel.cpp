@@ -6,7 +6,6 @@
 #include "common/binio.hpp"
 #include "common/require.hpp"
 #include "core/bounds.hpp"
-#include "core/flow_plan.hpp"
 #include "core/topology_delta.hpp"
 #include "flow/incremental.hpp"
 
@@ -57,8 +56,7 @@ SaturationSentinel::SaturationSentinel(const core::SdNetwork& net,
   }
 }
 
-void SaturationSentinel::rebuild_engines(const graph::EdgeMask* mask,
-                                         bool count) {
+void SaturationSentinel::rebuild_engines(const graph::EdgeMask* mask) {
   cert_exact_.reset();
   cert_margin_.reset();
   const std::vector<flow::RatedNode> sources = net_->source_rates();
@@ -74,7 +72,6 @@ void SaturationSentinel::rebuild_engines(const graph::EdgeMask* mask,
       net_->topology(), sources, sinks, flow::ExtendedGraphOptions{}, mask);
   cert_margin_ = std::make_unique<flow::IncrementalMaxFlow>(
       net_->topology(), sources, sinks, margin, mask);
-  if (count) ++cert_recomputes_;
 }
 
 void SaturationSentinel::sync_engines(const graph::EdgeMask* mask) {
@@ -93,11 +90,9 @@ void SaturationSentinel::sync_engines(const graph::EdgeMask* mask) {
 void SaturationSentinel::patch_certificate(const graph::EdgeMask* mask,
                                            const core::TopologyDelta* churn) {
   if (cert_exact_ == nullptr || cert_margin_ == nullptr) {
-    // First call, post-restore, or post-refresh: there is no warm state to
-    // patch.  Rebuild without counting a recompute so the patch/recompute
-    // totals of a resumed run match an uninterrupted one.
+    // First call, or post-restore: there is no warm state to patch.
     try {
-      rebuild_engines(mask, /*count=*/false);
+      rebuild_engines(mask);
     } catch (const std::exception&) {
       cert_exact_.reset();
       cert_margin_.reset();
@@ -122,38 +117,6 @@ void SaturationSentinel::patch_certificate(const graph::EdgeMask* mask,
   }
   sync_engines(mask);
   ++cert_patches_;
-}
-
-void SaturationSentinel::refresh_certificate(const graph::EdgeMask* mask) {
-  // A from-scratch check invalidates the warm engines (their rates may
-  // drift from the network's if churn continues past this point); the next
-  // patch_certificate rebuilds them.
-  cert_exact_.reset();
-  cert_margin_.reset();
-  ++cert_recomputes_;
-  if (mask == nullptr || mask->active_count() == mask->size()) {
-    // Full topology back: one max-flow suffices for feasibility, and the
-    // construction-time ε-margin (topology-determined) applies again.
-    try {
-      const flow::FeasibilityReport report = core::analyze(*net_);
-      cert_feasible_ = report.feasible;
-      cert_unsaturated_ = report.unsaturated;
-      return;
-    } catch (const std::exception&) {
-      cert_feasible_ = false;
-      cert_unsaturated_ = false;
-      return;
-    }
-  }
-  // Restricted mask: a single max-flow gives exact feasibility at the
-  // declared rates, but no ε margin — so no Lemma-1 override.
-  try {
-    const core::FlowPlan plan = core::build_flow_plan(*net_, mask);
-    cert_feasible_ = plan.value >= net_->arrival_rate();
-  } catch (const std::exception&) {
-    cert_feasible_ = false;
-  }
-  cert_unsaturated_ = false;
 }
 
 void SaturationSentinel::observe(TimeStep t, double potential) {

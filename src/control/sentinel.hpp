@@ -12,12 +12,13 @@
 //    super-Property-1 growth (overload, surges) can accumulate toward the
 //    alarm threshold λ.
 //  * exactly — a feasibility certificate from the Section-II analysis
-//    (max-flow + ε-margin search) computed at construction and re-checked
-//    (max-flow only, rate-limited) when the topology changes.  While the
-//    certificate holds *and* observed arrivals have respected the declared
-//    rates for a full compliance window, Lemma 1 is in force and the
-//    sentinel refuses to report overload unless P_t outright exceeds the
-//    Lemma-1 state bound — which a clean run provably never does.
+//    (max-flow + ε-margin search) computed at construction and patched
+//    incrementally (warm-started max-flow) when the topology changes.
+//    While the certificate holds *and* observed arrivals have respected
+//    the declared rates for a full compliance window, Lemma 1 is in force
+//    and the sentinel refuses to report overload unless P_t outright
+//    exceeds the Lemma-1 state bound — which a clean run provably never
+//    does.
 //
 // observe() is gap-tolerant: callers may feed every step (the admission
 // governor) or every check_every steps (RunSupervisor, chaos::Runner); the
@@ -88,37 +89,28 @@ class SaturationSentinel {
   /// the compliance streak, suspending the certificate override.
   void note_noncompliant_offer() { compliant_streak_ = 0; }
 
-  /// The topology changed: the unsaturated certificate is dropped until
-  /// refresh_certificate() re-checks.  Conservative — churn can only shrink
-  /// the feasible region.
-  void mark_certificate_stale() { cert_unsaturated_ = false; }
-
-  /// Exact re-check on the current active-edge mask (nullptr = all edges).
-  /// Mask-restricted instances get a feasibility-only certificate from one
-  /// max-flow; the full ε-margin claim returns only with the full topology.
-  /// Drops the warm-started engines, so the next patch_certificate rebuilds.
-  void refresh_certificate(const graph::EdgeMask* mask);
-
-  /// Incremental alternative to refresh_certificate: patches two
-  /// warm-started max-flow engines (flow/incremental.hpp) — the exact-rate
-  /// instance for Definition-3 feasibility and the (1+1/kEpsilonDenom)-
-  /// scaled margin instance for Definition-4 unsaturation — across this
-  /// step's mutations.  `mask` is the step's active mask (nullptr = all
-  /// edges); `churn` carries the step's rate changes (may be nullptr).
-  /// Mask diffs are self-healing (the engines are reconciled against the
-  /// actual mask, whatever was missed), so the certificate is exact after
-  /// every call; only the augmentation work is O(affected region).  Unlike
-  /// refresh_certificate, the unsaturated verdict stays live on restricted
-  /// masks — it is exact for the current topology.  After a rate change the
-  /// construction-time Lemma-1 state bound no longer applies and is
-  /// dropped (state_bound() goes empty; the certified override then never
-  /// reports overload, which the exact certificate justifies).
+  /// Re-certifies after a topology change: patches two warm-started
+  /// max-flow engines (flow/incremental.hpp) — the exact-rate instance for
+  /// Definition-3 feasibility and the (1+1/kEpsilonDenom)-scaled margin
+  /// instance for Definition-4 unsaturation — across this step's
+  /// mutations.  `mask` is the step's active mask (nullptr = all edges);
+  /// `churn` carries the step's rate changes (may be nullptr).  Mask diffs
+  /// are self-healing (the engines are reconciled against the actual mask,
+  /// whatever was missed), so the certificate is exact after every call;
+  /// only the augmentation work is O(affected region).  The unsaturated
+  /// verdict stays live on restricted masks — it is exact for the current
+  /// topology.  After a rate change the construction-time Lemma-1 state
+  /// bound no longer applies and is dropped (state_bound() goes empty; the
+  /// certified override then never reports overload, which the exact
+  /// certificate justifies).
   void patch_certificate(const graph::EdgeMask* mask,
                          const core::TopologyDelta* churn);
 
-  /// Patch-vs-recompute accounting for patch_certificate /
-  /// refresh_certificate (checkpointed, so a resumed run reports the same
-  /// totals as an uninterrupted one).
+  /// Patch-vs-recompute accounting (checkpointed, so a resumed run reports
+  /// the same totals as an uninterrupted one).  Every re-certification is
+  /// a patch; engine rebuilds (first patch, post-restore) are not counted
+  /// as recomputes, so certificate_recomputes() keeps the value a
+  /// checkpoint carried — 0 for any run of this build.
   [[nodiscard]] std::uint64_t certificate_patches() const {
     return cert_patches_;
   }
@@ -163,10 +155,10 @@ class SaturationSentinel {
  private:
   void classify(TimeStep span, double potential);
   /// (Re)builds the two incremental engines from the current network and
-  /// mask.  Counts toward cert_recomputes_ only when `count` is set — the
-  /// silent path reconstructs engines a checkpoint could not carry, keeping
-  /// the counters identical to an uninterrupted run.
-  void rebuild_engines(const graph::EdgeMask* mask, bool count);
+  /// mask.  Not counted as a recompute, so the counters of a resumed run
+  /// (whose engines a checkpoint could not carry) match an uninterrupted
+  /// one.
+  void rebuild_engines(const graph::EdgeMask* mask);
   /// Reconciles both engines' edge activations with `mask` and reads off
   /// the certificate.
   void sync_engines(const graph::EdgeMask* mask);

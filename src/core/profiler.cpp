@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <ostream>
-#include <sstream>
 
-#include "analysis/table.hpp"
 #include "obs/json.hpp"
 
 namespace lgg::core {
@@ -100,28 +98,6 @@ double StepProfiler::steps_per_second() const {
   return static_cast<double>(steps_) * 1e9 / static_cast<double>(nanos);
 }
 
-std::string StepProfiler::table() const {
-  analysis::Table table(
-      {"phase", "time ms", "share %", "ns/step", "items", "items/step"});
-  const double total = static_cast<double>(total_nanos());
-  const double steps = static_cast<double>(steps_ == 0 ? 1 : steps_);
-  for (std::size_t i = 0; i < kStepPhaseCount; ++i) {
-    const PhaseTotals p = phase(static_cast<StepPhase>(i));
-    table.add(std::string(to_string(static_cast<StepPhase>(i))),
-              static_cast<double>(p.nanos) * 1e-6,
-              total == 0.0 ? 0.0
-                           : 100.0 * static_cast<double>(p.nanos) / total,
-              static_cast<double>(p.nanos) / steps,
-              static_cast<std::int64_t>(p.items),
-              static_cast<double>(p.items) / steps);
-  }
-  std::ostringstream os;
-  os << table.to_string();
-  os << "steps=" << steps_ << " profiled_ms=" << total * 1e-6
-     << " steps/sec=" << steps_per_second() << "\n";
-  return os.str();
-}
-
 std::string StepProfiler::json() const {
   obs::JsonWriter json;
   json.begin_object();
@@ -172,6 +148,7 @@ std::size_t StepProfiler::write_chrome_trace(std::ostream& os) const {
               return a.phase < b.phase;
             });
 
+  const std::string profile = json();
   obs::JsonWriter json;
   json.begin_object();
   json.field("displayTimeUnit", "ms");
@@ -179,6 +156,7 @@ std::size_t StepProfiler::write_chrome_trace(std::ostream& os) const {
   json.field("tool", "lgg");
   json.field("spans", static_cast<std::uint64_t>(all.size()));
   json.field("dropped", total_dropped());
+  json.raw_field("profile", profile);
   json.end_object();
   json.begin_array("traceEvents");
   for (const SpanRecord& span : all) {

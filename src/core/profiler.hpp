@@ -4,9 +4,11 @@
 // only timing object.  Per step phase it accumulates wall time, CPU time
 // summed over shards and a phase-specific work counter; built with a
 // non-zero lane capacity it also keeps the most recent spans of every
-// execution lane, exportable as a Chrome trace (`lgg_sim --trace-out`,
-// tools/lgg_trace).  Lane 0 is the main thread and lane s+1 is shard s;
-// each lane has one writer, so shard workers record without locks.
+// execution lane, exportable as a Chrome trace (`lgg_sim --trace-out`)
+// that carries the whole-run totals beside the span window;
+// `lgg_inspect stats` renders both.  Lane 0 is the main thread and lane
+// s+1 is shard s; each lane has one writer, so shard workers record
+// without locks.
 //
 // Each phase boundary is one call: a serial lap() adds its wall time to
 // both columns of lane 0, a lap_parallel() adds the main thread's
@@ -191,8 +193,6 @@ class StepProfiler {
   /// Throughput over the profiled portion (0 before the first step).
   [[nodiscard]] double steps_per_second() const;
 
-  /// Aligned phase-breakdown table (phase, time, share, ns/step, items).
-  [[nodiscard]] std::string table() const;
   /// Machine-readable summary (steps, steps/sec, per-phase nanos/items).
   [[nodiscard]] std::string json() const;
 
@@ -208,7 +208,8 @@ class StepProfiler {
 
   /// Writes the retained spans as Chrome trace-event JSON ("X" complete
   /// events named after their phase, ts/dur in microseconds), sorted by
-  /// start time.  Returns the number of events written.
+  /// start time, with json() under otherData.profile so a wrapped ring
+  /// still reports the whole run.  Returns the number of events written.
   std::size_t write_chrome_trace(std::ostream& os) const;
 
  private:

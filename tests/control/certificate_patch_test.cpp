@@ -132,9 +132,8 @@ TEST(CertificatePatch, RateChurnDropsStateBoundButKeepsCertificate) {
 }
 
 TEST(GovernorChurn, CertificateStaysContinuouslyValidUnderChurn) {
-  // A feasible grid under scheduled churn, governed with the incremental
-  // path (the default): every topology bump is patched the same step, the
-  // stale flag never sets, and the feasible run sheds nothing.
+  // A feasible grid under scheduled churn, governed: every topology bump
+  // is patched the same step, and the feasible run sheds nothing.
   core::SdNetwork net = core::scenarios::grid_single(3, 4);
   core::SimulatorOptions options;
   options.seed = 21;
@@ -183,32 +182,6 @@ TEST(GovernorChurn, SeveringChurnFlipsCertificateInfeasibleImmediately) {
   EXPECT_FALSE(governor.sentinel().certificate_feasible());
   EXPECT_FALSE(governor.sentinel().certificate_unsaturated());
   sim.run(10);  // step 20 restores the edge
-  EXPECT_TRUE(governor.sentinel().certificate_feasible());
-}
-
-TEST(GovernorChurn, NonIncrementalPathStillRefreshesAfterBackoff) {
-  // With incremental_certificates off the legacy stale-window behavior is
-  // preserved: the verdict goes conservative and a from-scratch refresh
-  // lands after certificate_backoff steps.
-  core::SdNetwork net = core::scenarios::grid_single(3, 4);
-  core::SimulatorOptions options;
-  options.seed = 8;
-  core::Simulator sim(std::move(net), options);
-  core::FaultSchedule schedule;
-  schedule.add({.kind = core::FaultKind::kEdgeRemove, .at = 10, .edge = 1});
-  sim.set_faults(std::make_unique<core::FaultInjector>(schedule, 1));
-
-  GovernorOptions gopts;
-  gopts.incremental_certificates = false;
-  gopts.certificate_backoff = 16;
-  control::AdmissionGovernor governor(sim.network(), gopts);
-  sim.set_admission(&governor);
-
-  sim.run(11);
-  EXPECT_FALSE(governor.sentinel().certificate_unsaturated());  // stale
-  EXPECT_EQ(governor.sentinel().certificate_patches(), 0u);
-  sim.run(30);  // past the backoff: refresh_certificate ran
-  EXPECT_GE(governor.sentinel().certificate_recomputes(), 1u);
   EXPECT_TRUE(governor.sentinel().certificate_feasible());
 }
 

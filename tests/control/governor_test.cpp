@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "control/brownout.hpp"
@@ -211,6 +212,30 @@ TEST(AdmissionGovernor, CheckpointPresenceMismatchIsStrict) {
     std::istringstream is(without.str(), std::ios::binary);
     EXPECT_THROW(victim->restore_checkpoint(is), core::CheckpointError);
   }
+}
+
+TEST(AdmissionGovernor, ReservedCertificateByteMustBeZero) {
+  // The byte after last_topology_version_ once flagged a stale certificate
+  // (offset 8+8+1+1+8+8); it is written as 0 and a set one is refused.
+  constexpr std::size_t kReservedOffset = 34;
+  auto sim = make_sim(kInfeasibleChain);
+  control::AdmissionGovernor governor(sim->network());
+  sim->set_admission(&governor);
+  sim->run(200);
+  std::ostringstream os;
+  governor.save_state(os);
+  std::string bytes = os.str();
+  ASSERT_GT(bytes.size(), kReservedOffset);
+  EXPECT_EQ(bytes[kReservedOffset], '\0');
+  {
+    control::AdmissionGovernor twin(sim->network());
+    std::istringstream is(bytes, std::ios::binary);
+    EXPECT_NO_THROW(twin.load_state(is));
+  }
+  bytes[kReservedOffset] = '\1';
+  control::AdmissionGovernor twin(sim->network());
+  std::istringstream is(bytes, std::ios::binary);
+  EXPECT_ANY_THROW(twin.load_state(is));
 }
 
 TEST(AdmissionGovernor, FairnessAccountingCoversEverySource) {

@@ -132,28 +132,6 @@ TEST(SaturationSentinel, HysteresisHoldsModeUntilStatisticDrains) {
   EXPECT_NE(sentinel.mode(), control::SaturationMode::kOverloaded);
 }
 
-TEST(SaturationSentinel, CertificateRefreshAfterStaleness) {
-  const core::SdNetwork net =
-      core::network_from_string(kUnsaturatedFixtures[0]);
-  control::SaturationSentinel sentinel(net);
-  ASSERT_TRUE(sentinel.certificate_unsaturated());
-  sentinel.mark_certificate_stale();
-  EXPECT_FALSE(sentinel.certificate_unsaturated());
-  // Full-topology refresh restores the epsilon-margin certificate.
-  sentinel.refresh_certificate(nullptr);
-  EXPECT_TRUE(sentinel.certificate_unsaturated());
-
-  // A restricted mask gets the feasibility-only certificate: one max-flow,
-  // no epsilon-margin claim.
-  graph::EdgeMask mask(net.topology().edge_count());
-  mask.set_all(true);
-  mask.set_active(0, false);  // drop one of the three parallel lanes
-  sentinel.mark_certificate_stale();
-  sentinel.refresh_certificate(&mask);
-  EXPECT_TRUE(sentinel.certificate_feasible());
-  EXPECT_FALSE(sentinel.certificate_unsaturated());
-}
-
 TEST(SaturationSentinel, NoncompliantOffersSuspendCertificateOverride) {
   const core::SdNetwork net =
       core::network_from_string(kUnsaturatedFixtures[0]);

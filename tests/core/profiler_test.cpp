@@ -171,7 +171,8 @@ TEST(StepProfiler, ShardedRunRecordsOneSpanPerShardBody) {
   EXPECT_EQ(prof.write_chrome_trace(os), prof.total_spans());
   const std::string json = os.str();
   for (const StepPhase p : kAllPhases) {
-    EXPECT_NE(json.find("\"name\":\"" + std::string(to_string(p)) + "\""),
+    EXPECT_NE(json.find("\"name\":\"" + std::string(to_string(p)) +
+                        "\",\"cat\":\"step\""),
               std::string::npos)
         << to_string(p);
   }
@@ -293,9 +294,10 @@ TEST(SpanTracer, ChromeExportCarriesNamesShardsAndCounts) {
   EXPECT_EQ(written, 3u);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"injection\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"selection\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"loss-apply\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"injection\",\"cat\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"selection\",\"cat\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"loss-apply\",\"cat\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"shard\":0"), std::string::npos);
   EXPECT_NE(json.find("\"spans\":3"), std::string::npos);
@@ -311,6 +313,24 @@ TEST(SpanTracer, DroppedSpansAreReportedInOtherData) {
   std::ostringstream os;
   prof.write_chrome_trace(os);
   EXPECT_NE(os.str().find("\"dropped\":3"), std::string::npos);
+}
+
+TEST(SpanTracer, WrappedRingStillExportsWholeRunTotals) {
+  // A 4-span ring keeps a sliver of the run; otherData.profile carries
+  // the whole-run totals, with injection items = cumulative injected.
+  StepProfiler prof(4);
+  Simulator sim(scenarios::grid_single(3, 4));
+  sim.set_arrival(std::make_unique<BernoulliArrival>(0.7));
+  sim.set_profiler(&prof);
+  sim.run(100);
+  ASSERT_GT(prof.total_dropped(), 0u);
+  EXPECT_EQ(prof.steps(), 100u);
+  EXPECT_EQ(prof.phase(StepPhase::kInjection).items,
+            static_cast<std::uint64_t>(sim.cumulative().injected));
+  std::ostringstream os;
+  prof.write_chrome_trace(os);
+  EXPECT_NE(os.str().find("\"profile\":" + prof.json() + "}"),
+            std::string::npos);
 }
 
 TEST(SpanTracer, AttachedTracerNeverPerturbsTheTrajectory) {

@@ -165,7 +165,7 @@ TEST(FlightRecorder, RingKeepsNewestAndOrdersOldestFirst) {
 }
 
 TEST(FlightRecorder, TinyCapacitiesWrapExactly) {
-  // --flight-recorder-capacity accepts any positive size; the degenerate
+  // --flight-recorder accepts any positive size; the degenerate
   // rings (1..3 slots) must keep exactly the newest window and number the
   // survivors on the global sequence axis.
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{2},

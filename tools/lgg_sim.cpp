@@ -73,14 +73,15 @@
 //     --flight-recorder N  keep the last N step events; dumped into the
 //                          telemetry stream (and into crash dumps).
 //                          Default 256 with --telemetry, else off
-//     --flight-recorder-capacity N  alias of --flight-recorder
 //     --hotspots K         top-K hotspot analytics (obs/hotspots.hpp):
 //                          Space-Saving sketches over per-node drift and
 //                          queue mass, a {"type":"hotspots"} line per
 //                          telemetry snapshot, and a run-end summary table
 //     --trace-out FILE     record per-phase (and per-shard) spans and
 //                          write them as Chrome trace-event JSON
-//                          (chrome://tracing, Perfetto; tools/lgg_trace)
+//                          (chrome://tracing, Perfetto) with the
+//                          whole-run per-phase totals; `lgg_inspect
+//                          stats FILE` prints the phase table
 //     --trace-capacity N   spans retained per lane (default 16384); the
 //                          ring keeps the most recent window
 //     --statusz FILE       write a Prometheus-text statusz snapshot to
@@ -104,7 +105,6 @@
 //                          DESIGN.md "Shard engine")
 //     --threads T          worker threads for --shards (default:
 //                          min(K, hardware))
-//     --profile            print the per-phase step profile after the run
 //     --analyze-only       print the feasibility report and exit
 //
 // Exit codes (common/exit_codes.hpp): 0 stable/ok, 1 diverging verdict,
@@ -163,12 +163,12 @@ namespace {
                "[--max-recoveries N] [--recover] [--failpoints SPEC] "
                "[--csv FILE] "
                "[--telemetry FILE] [--telemetry-every K] "
-               "[--flight-recorder N] [--flight-recorder-capacity N] "
+               "[--flight-recorder N] "
                "[--hotspots K] [--trace-out FILE] [--trace-capacity N] "
                "[--statusz FILE] [--statusz-every N] [--deadline-ms N] "
                "[--governor] [--governor-target-eps F] [--brownout] "
                "[--shards K] [--threads T] "
-               "[--profile] [--analyze-only] [network.sdnet]\n",
+               "[--analyze-only] [network.sdnet]\n",
                argv0);
   std::exit(lgg::kExitUsage);
 }
@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
   long long deadline_ms = 0;
   std::string input_path;
   bool analyze_only = false;
-  bool profile = false;
   long long shards = 0;   // 0 = serial engine
   long long threads = 0;  // 0 = min(shards, hardware)
   bool governor = false;
@@ -345,12 +344,12 @@ int main(int argc, char** argv) {
                      "error: --telemetry-every wants a positive interval\n");
         return lgg::kExitUsage;
       }
-    } else if (arg == "--flight-recorder" ||
-               arg == "--flight-recorder-capacity") {
-      flight_capacity = parse_int(arg.c_str(), next(arg.c_str()));
+    } else if (arg == "--flight-recorder") {
+      flight_capacity =
+          parse_int("--flight-recorder", next("--flight-recorder"));
       if (flight_capacity < 0) {
-        std::fprintf(stderr, "error: %s wants a capacity >= 0\n",
-                     arg.c_str());
+        std::fprintf(stderr,
+                     "error: --flight-recorder wants a capacity >= 0\n");
         return lgg::kExitUsage;
       }
     } else if (arg == "--hotspots") {
@@ -407,8 +406,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --threads wants a positive count\n");
         return lgg::kExitUsage;
       }
-    } else if (arg == "--profile") {
-      profile = true;
     } else if (arg == "--analyze-only") {
       analyze_only = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -630,13 +627,11 @@ int main(int argc, char** argv) {
       sink = std::make_unique<obs::OstreamJsonlSink>(telemetry_file);
       telemetry->set_sink(sink.get());
     }
-    // One profiler serves --profile and --trace-out; it keeps span rings
-    // only when tracing.  It reads clocks only, so its position in the
-    // wiring order is cosmetic — but the trace should cover the whole run,
-    // including a resumed one.
-    core::StepProfiler profiler(
-        trace_path.empty() ? 0 : static_cast<std::size_t>(trace_capacity));
-    if (profile || !trace_path.empty()) sim.set_profiler(&profiler);
+    // --trace-out attaches the profiler.  It reads clocks only, so its
+    // position in the wiring order is cosmetic — but the trace should
+    // cover the whole run, including a resumed one.
+    core::StepProfiler profiler(static_cast<std::size_t>(trace_capacity));
+    if (!trace_path.empty()) sim.set_profiler(&profiler);
     core::MetricsRecorder recorder;
 
     // --recover treats --steps as the total horizon: the healed run stops
@@ -697,10 +692,6 @@ int main(int argc, char** argv) {
       }
     } else {
       sim.run(run_steps, &recorder);
-    }
-    if (profile) {
-      std::printf("\nper-phase step profile:\n%s\n",
-                  profiler.table().c_str());
     }
 
     const auto stability = core::assess_stability(recorder.network_state());

@@ -1,15 +1,17 @@
-// Minimal JSON parser shared by the repo's validation CLIs
-// (lgg_telemetry_check, lgg_trace).  Deliberately small: objects, arrays,
-// strings, numbers, booleans, null; numbers as double.  Integer fields up
-// to 2^53 round-trip exactly through double, far beyond any bounded
-// run's counters.  Dependency-free so the validators stay honest — they
-// cannot accidentally share (and therefore mask) a bug with the
-// obs::JsonWriter emitter they check.
+// Minimal JSON parser shared by tools/lgg_inspect and perfbench.
+// Deliberately small: objects, arrays, strings, numbers, booleans, null;
+// numbers as double.  Integer fields up to 2^53 round-trip exactly through
+// double, far beyond any bounded run's counters.  Numbers follow the
+// RFC 8259 grammar and must be finite (the emitter writes non-finite
+// doubles as null); nesting deeper than kMaxDepth is a parse error rather
+// than a stack overflow.  Dependency-free so the inspector stays honest —
+// it cannot accidentally share (and therefore mask) a bug with the
+// obs::JsonWriter emitter it checks.
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -55,6 +57,10 @@ inline void require_present(const Value& obj, const char* key,
   (void)require(obj, key, kind, in);
 }
 
+/// Deepest accepted nesting of arrays and objects.  Emitted telemetry
+/// nests at most 5 deep and traces at most 4.
+inline constexpr std::size_t kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -97,13 +103,19 @@ class Parser {
     return number();
   }
 
+  void enter() {
+    if (++depth_ > kMaxDepth) throw std::runtime_error("nesting too deep");
+  }
+
   ValuePtr object() {
     auto v = std::make_shared<Value>();
     v->kind = Value::Kind::kObject;
     expect('{');
+    enter();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return v;
     }
     while (true) {
@@ -118,6 +130,7 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return v;
     }
   }
@@ -126,9 +139,11 @@ class Parser {
     auto v = std::make_shared<Value>();
     v->kind = Value::Kind::kArray;
     expect('[');
+    enter();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return v;
     }
     while (true) {
@@ -139,6 +154,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return v;
     }
   }
@@ -215,26 +231,48 @@ class Parser {
     return std::make_shared<Value>();
   }
 
+  /// RFC 8259: [-] (0 | [1-9][0-9]*) [. [0-9]+] [(e|E) [+|-] [0-9]+].
   ValuePtr number() {
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::strchr("+-0123456789.eE", text_[pos_]) != nullptr)) {
-      ++pos_;
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    const auto accept = [this](char a, char b) {
+      if (pos_ < text_.size() && (text_[pos_] == a || text_[pos_] == b)) {
+        ++pos_;
+        return true;
+      }
+      return false;
+    };
+    (void)accept('-', '-');
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    bool ok = int_digits > 0 && (text_[int_start] != '0' || int_digits == 1);
+    if (ok && accept('.', '.')) ok = digits() > 0;
+    if (ok && accept('e', 'E')) {
+      (void)accept('+', '-');
+      ok = digits() > 0;
     }
     if (pos_ == start) throw std::runtime_error("expected a value");
+    const std::string token = text_.substr(start, pos_ - start);
+    if (!ok) throw std::runtime_error("bad number '" + token + "'");
     auto v = std::make_shared<Value>();
     v->kind = Value::Kind::kNumber;
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    v->number = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      throw std::runtime_error("bad number '" + token + "'");
+    v->number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(v->number)) {
+      throw std::runtime_error("number '" + token + "' is not finite");
     }
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace minijson
