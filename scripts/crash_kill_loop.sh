@@ -9,6 +9,10 @@
 # difference is a crash-safety bug; the non-identical artifacts are left
 # in the output directory for triage (CI uploads them).
 #
+# Hotspot analytics ride along, and the checkpoint interval is not a
+# multiple of the snapshot interval, so every checkpoint lands mid-window
+# and a recovery must carry the pending hotspot window to match.
+#
 # usage: crash_kill_loop.sh LGG_SIM LGG_INSPECT NETWORK.SDNET OUT_DIR
 set -u
 
@@ -18,7 +22,8 @@ NET=${3:?missing network file}
 OUT=${4:?missing output directory}
 
 STEPS=400
-EVERY=50
+EVERY=45
+TELEMETRY_EVERY=10
 GENS=3
 SEED=7
 
@@ -32,7 +37,8 @@ run_leg() {
   "$SIM" --steps "$STEPS" --seed "$SEED" --loss 0.1 \
          --checkpoint "$dir/run.ckpt" --checkpoint-every "$EVERY" \
          --generations "$GENS" \
-         --telemetry "$dir/telemetry.jsonl" --telemetry-every 10 \
+         --telemetry "$dir/telemetry.jsonl" --telemetry-every "$TELEMETRY_EVERY" \
+         --hotspots 4 \
          "$@" "$NET" > "$dir/stdout.txt" 2>&1
 }
 

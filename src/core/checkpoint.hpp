@@ -81,7 +81,12 @@ inline constexpr char kCheckpointMagic[8] = {'L', 'G', 'G', 'C',
 /// rename and retained in a ring described by a CRC'd manifest
 /// (core/ckpt_chain.hpp), so "v8" on disk promises the stronger
 /// durability contract.
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+/// v9: the hotspot-tracker subsection leads with the pending snapshot
+/// window — entry count, then strictly ascending (node, drift sum, queue
+/// sum) u64 triples — before both Space-Saving sketches.  The sketches are
+/// fed once per snapshot window (obs/hotspots.hpp), so a mid-window resume
+/// needs the sums accumulated since the last window closed.
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).  `seed` chains
 /// incremental computations; pass the previous return value.

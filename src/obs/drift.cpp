@@ -25,9 +25,7 @@ void DriftAttributor::bind(NodeId node_count) {
   const auto n = static_cast<std::size_t>(node_count);
   node_count_ = node_count;
   per_node_.assign(n * kDriftCauseCount, 0);
-  const std::size_t words = (n + 63) / 64;
-  touched_words_.assign(words, 0);
-  touched_summary_.assign((words + 63) / 64, 0);
+  touched_.bind(n);
   for (auto& c : by_cause_step_) c = 0;
   for (auto& c : by_cause_total_) c = 0;
 }
@@ -39,28 +37,13 @@ void DriftAttributor::begin_step() {
       per_node_[i * kDriftCauseCount + c] = 0;
     }
   });
-  for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
-    for (std::uint64_t words = touched_summary_[s]; words != 0;
-         words &= words - 1) {
-      touched_words_[(s << 6) + std::countr_zero(words)] = 0;
-    }
-    touched_summary_[s] = 0;
-  }
+  touched_.clear();
   for (auto& c : by_cause_step_) c = 0;
 }
 
 std::int64_t DriftAttributor::step_drift() const {
   std::uint64_t total = 0;
   for (const std::uint64_t c : by_cause_step_) total += c;
-  return static_cast<std::int64_t>(total);
-}
-
-std::int64_t DriftAttributor::node_drift(NodeId v) const {
-  const auto i = static_cast<std::size_t>(v);
-  std::uint64_t total = 0;
-  for (std::size_t c = 0; c < kDriftCauseCount; ++c) {
-    total += per_node_[i * kDriftCauseCount + c];
-  }
   return static_cast<std::int64_t>(total);
 }
 

@@ -18,18 +18,17 @@
 //
 // Per-step storage is sparse: only nodes touched this step are reset on
 // the next begin_step, so the cost scales with activity, not with n.  The
-// touched set is a two-level bitset (one bit per node, one summary bit per
-// 64-node word), which yields the nodes in ascending id order without a
-// sort.
+// touched set is a TouchedSet (obs/touched_set.hpp), which yields the
+// nodes in ascending id order without a sort.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/touched_set.hpp"
 
 namespace lgg::obs {
 
@@ -65,9 +64,7 @@ class DriftAttributor {
   /// δ(2q+δ) computed by the caller in wraparound-safe arithmetic.
   void record(NodeId v, DriftCause cause, std::uint64_t delta_p) {
     const auto i = static_cast<std::size_t>(v);
-    const std::size_t w = i >> 6;
-    touched_words_[w] |= std::uint64_t{1} << (i & 63);
-    touched_summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
+    touched_.mark(i);
     per_node_[i * kDriftCauseCount + static_cast<std::size_t>(cause)] +=
         delta_p;
     by_cause_step_[static_cast<std::size_t>(cause)] += delta_p;
@@ -87,7 +84,14 @@ class DriftAttributor {
         by_cause_total_[static_cast<std::size_t>(cause)]);
   }
   /// This step's total contribution of one node (sum over causes).
-  [[nodiscard]] std::int64_t node_drift(NodeId v) const;
+  /// Inline: the hotspot feed calls it once per touched node per step.
+  [[nodiscard]] std::int64_t node_drift(NodeId v) const {
+    const std::uint64_t* causes =
+        &per_node_[static_cast<std::size_t>(v) * kDriftCauseCount];
+    std::uint64_t total = 0;
+    for (std::size_t c = 0; c < kDriftCauseCount; ++c) total += causes[c];
+    return static_cast<std::int64_t>(total);
+  }
   /// This step's contribution of (node, cause).
   [[nodiscard]] std::int64_t node_drift(NodeId v, DriftCause cause) const {
     return static_cast<std::int64_t>(
@@ -98,16 +102,7 @@ class DriftAttributor {
   /// step, in ascending id order; O(nodes touched + n/4096).
   template <typename F>
   void for_each_touched(F&& f) const {
-    for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
-      for (std::uint64_t words = touched_summary_[s]; words != 0;
-           words &= words - 1) {
-        const std::size_t w = (s << 6) + std::countr_zero(words);
-        for (std::uint64_t bits = touched_words_[w]; bits != 0;
-             bits &= bits - 1) {
-          f(static_cast<NodeId>((w << 6) + std::countr_zero(bits)));
-        }
-      }
-    }
+    touched_.for_each(f);
   }
 
   /// Emits the "drift" object into the writer's current object:
@@ -124,10 +119,7 @@ class DriftAttributor {
 
  private:
   std::vector<std::uint64_t> per_node_;  // node-major, kDriftCauseCount wide
-  // Bit i of touched_words_[w] marks node 64w + i; bit j of
-  // touched_summary_[s] marks touched_words_[64s + j] as non-zero.
-  std::vector<std::uint64_t> touched_words_;
-  std::vector<std::uint64_t> touched_summary_;
+  TouchedSet touched_;
   NodeId node_count_ = 0;
   std::uint64_t by_cause_step_[kDriftCauseCount] = {};
   std::uint64_t by_cause_total_[kDriftCauseCount] = {};

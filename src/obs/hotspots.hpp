@@ -16,11 +16,22 @@
 //              (time-integrated occupancy over its active steps);
 //
 // plus a log2 queue-occupancy histogram registered as
-// "sim.queue_occupancy".  Updates cost O(log K) per *touched* node and
-// allocate nothing: a dense key index finds a monitored key in O(1), and
-// a min-heap over the K counters keeps the eviction victim at its root —
-// never a scan over n or over K.  Feeding happens in ascending node order
-// over the exact touched set, which the shard engine reproduces
+// "sim.queue_occupancy".
+//
+// The sketches are fed once per snapshot window, not once per step.  Each
+// step adds every touched node's two weights to dense per-node window sums
+// (u64, wrapping like the sketch counters) and marks the node in a
+// TouchedSet; that is O(touched) with no sketch work.  When the window
+// closes, each sketch gets one update(v, window sum) per window-touched
+// node in ascending id, skipping zero sums: O(window-touched · log K).
+// The sketch therefore sees every node's exact per-window total, just
+// pre-aggregated, so the Space-Saving guarantees below hold unchanged and
+// drift_total/queue_total equal the per-step feed's; only the eviction
+// history differs.  A one-step window is exactly the per-step feed.
+// Updates allocate nothing: a dense key index finds a monitored key in
+// O(1), and a min-heap over the K counters keeps the eviction victim at
+// its root — never a scan over n or over K.  Feeding follows the exact
+// touched set in ascending node order, which the shard engine reproduces
 // bit-for-bit, so sketch state — and therefore every emitted "hotspots"
 // JSONL line — is deterministic across shard and thread counts.
 //
@@ -36,6 +47,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/touched_set.hpp"
 
 namespace lgg::obs {
 
@@ -111,52 +123,69 @@ class SpaceSaving {
 };
 
 /// The per-run hotspot state a Telemetry session owns when hotspot_k is
-/// configured.  Fed once per step from the drift attributor's touched
-/// set; emitted as a {"type":"hotspots"} JSONL line per snapshot and as
-/// a run-end summary table.
+/// configured.  Fed every step from the drift attributor's touched set,
+/// folded into the sketches when a snapshot window closes, and emitted as
+/// a {"type":"hotspots"} JSONL line per snapshot and as a run-end summary
+/// table.
 class HotspotTracker {
  public:
   /// Registers the "sim.queue_occupancy" histogram into `registry`.
   HotspotTracker(std::size_t k, MetricRegistry& registry);
 
   [[nodiscard]] std::size_t k() const { return drift_.k(); }
+  /// The sketches as of the last close_window.
   [[nodiscard]] const SpaceSaving& drift_sketch() const { return drift_; }
   [[nodiscard]] const SpaceSaving& queue_sketch() const { return queue_; }
 
-  /// Sizes both sketches for node ids [0, node_count).
+  /// Sizes both sketches and the window for node ids [0, node_count) and
+  /// empties the window.
   void bind(NodeId node_count);
 
   /// One touched node's end-of-step observation: `drift` is the node's
-  /// signed ΔP contribution this step, `queue` its post-step length.
+  /// signed ΔP contribution this step, `queue` its post-step length
+  /// (>= 0).  Adds the positive drift and the queue to the node's window
+  /// sums, without branching on either; the sketches are untouched until
+  /// close_window.
   void observe(NodeId v, std::int64_t drift, PacketCount queue) {
-    if (drift > 0) {
-      drift_.update(static_cast<std::uint64_t>(v),
-                    static_cast<std::uint64_t>(drift));
-    }
-    if (queue > 0) {
-      queue_.update(static_cast<std::uint64_t>(v),
-                    static_cast<std::uint64_t>(queue));
-    }
+    const auto i = static_cast<std::size_t>(v);
+    window_drift_[i] += drift > 0 ? static_cast<std::uint64_t>(drift) : 0;
+    window_queue_[i] += static_cast<std::uint64_t>(queue);
+    window_.mark(i);
     observe_occupancy(queue);
   }
+
+  /// Feeds each window-touched node's non-zero sums to the sketches in
+  /// ascending id, then empties the window.
+  void close_window();
 
   /// Emits {"type":"hotspots","seq":...,"t":...,"k":...,"drift":[...],
   /// "queue":[...]} into `json` (a fresh top-level document).
   void write_snapshot(JsonWriter& json, std::uint64_t seq, TimeStep t) const;
 
-  /// Human-readable run-end table of both top-K lists.
+  /// Human-readable run-end table of both top-K lists, with the pending
+  /// window folded into copies of the sketches (the live sketches, and so
+  /// the stream, are never changed by reading).
   [[nodiscard]] std::string summary_table() const;
 
-  /// Checkpoint support for the sketch state (the histogram is a
-  /// registry metric and rides the registry's own state).
+  /// Checkpoint support: the pending window (entry count, then strictly
+  /// ascending (node, drift sum, queue sum) triples), then both sketches.
+  /// The histogram is a registry metric and rides the registry's own
+  /// state.  load_state throws std::runtime_error on a node outside the
+  /// bound range, nodes out of order, a count above the node count, or a
+  /// bad sketch, and leaves the tracker unchanged then.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
  private:
   void observe_occupancy(PacketCount queue);
+  /// Feeds the window sums into `drift` and `queue`.
+  void fold_window(SpaceSaving& drift, SpaceSaving& queue) const;
 
   SpaceSaving drift_;
   SpaceSaving queue_;
+  std::vector<std::uint64_t> window_drift_;  // per node, this window
+  std::vector<std::uint64_t> window_queue_;
+  TouchedSet window_;  // nodes observed this window
   Histogram* occupancy_;  // owned by the registry
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -103,14 +104,19 @@ void Telemetry::end_step(const StepSample& sample) {
     // Feed the exact touched set in ascending node order.  The serial
     // engine discovers nodes in phase order and the shard engine in
     // shard-fold order; the ascending walk erases that difference, so the
-    // sketch state — and every "hotspots" line — is identical across
-    // shard and thread counts.
+    // window sums, the sketch state and every "hotspots" line are
+    // identical across shard and thread counts.
     drift_.for_each_touched([&](NodeId v) {
       const auto i = static_cast<std::size_t>(v);
       const PacketCount queue =
           i < sample.queues.size() ? sample.queues[i] : 0;
       hotspots_->observe(v, drift_.node_drift(v), queue);
     });
+    // The window closes on the snapshot cadence whether or not a sink is
+    // attached, so the sketches never depend on where the stream goes.
+    if ((sample.t + 1) % options_.snapshot_every == 0) {
+      hotspots_->close_window();
+    }
   }
   if (snapshot_due(sample.t)) emit_snapshot(sample);
 }
@@ -182,6 +188,19 @@ void Telemetry::save_state(std::ostream& os) const {
 }
 
 void Telemetry::load_state(std::istream& is) {
+  // The parts below apply as they parse, so a rejected blob rolls the
+  // whole session back to what it was.
+  std::stringstream backup(std::ios::in | std::ios::out | std::ios::binary);
+  save_state(backup);
+  try {
+    apply_state(is);
+  } catch (...) {
+    apply_state(backup);
+    throw;
+  }
+}
+
+void Telemetry::apply_state(std::istream& is) {
   sequence_ = binio::read_u64(is);
   registry_.load_state(is);
   drift_.load_state(is);

@@ -194,6 +194,66 @@ TEST(CheckpointResume, TelemetryStreamIsByteIdenticalAcrossResume) {
   }
 }
 
+TEST(CheckpointResume, HotspotWindowResumesMidWindow) {
+  // The hotspot sketches are fed once per snapshot window, so a checkpoint
+  // taken mid-window carries the pending per-node sums.  Break at step 37
+  // of 10-step windows and end at 395, so both the break and the final
+  // checkpoint sit mid-window; the resumed run, serial or sharded, must
+  // write the uninterrupted run's stream and final checkpoint bytes.
+  constexpr TimeStep kHotBreak = 37;
+  constexpr TimeStep kHotHorizon = 395;
+  const auto make_telemetry = [] {
+    obs::TelemetryOptions topts;
+    topts.snapshot_every = 10;
+    topts.hotspot_k = 3;
+    return std::make_unique<obs::Telemetry>(topts);
+  };
+  const auto final_checkpoint = [](const core::Simulator& sim) {
+    std::ostringstream os(std::ios::binary);
+    sim.save_checkpoint(os);
+    return os.str();
+  };
+
+  auto full_tel = make_telemetry();
+  std::ostringstream full_stream;
+  obs::OstreamJsonlSink full_sink(full_stream);
+  full_tel->set_sink(&full_sink);
+  auto full = build("lgg", true);
+  full->set_telemetry(full_tel.get());
+  full->run(kHotHorizon);
+  const std::string full_ckpt = final_checkpoint(*full);
+
+  auto first_tel = make_telemetry();
+  std::ostringstream first_stream;
+  obs::OstreamJsonlSink first_sink(first_stream);
+  first_tel->set_sink(&first_sink);
+  auto first = build("lgg", true);
+  first->set_telemetry(first_tel.get());
+  first->run(kHotBreak);
+  const std::string blob = final_checkpoint(*first);
+
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "enable_sharding(3, 3)" : "serial");
+    auto resumed_tel = make_telemetry();
+    std::ostringstream resumed_stream;
+    obs::OstreamJsonlSink resumed_sink(resumed_stream);
+    resumed_tel->set_sink(&resumed_sink);
+    auto resumed = build("lgg", true);
+    if (sharded) resumed->enable_sharding(3, 3);
+    resumed->set_telemetry(resumed_tel.get());
+    std::istringstream is(blob, std::ios::binary);
+    resumed->restore_checkpoint(is);
+    resumed->run(kHotHorizon - kHotBreak);
+
+    EXPECT_EQ(first_stream.str() + resumed_stream.str(), full_stream.str());
+    EXPECT_EQ(final_checkpoint(*resumed), full_ckpt);
+    EXPECT_EQ(resumed_tel->hotspots()->summary_table(),
+              full_tel->hotspots()->summary_table());
+  }
+  EXPECT_NE(full_stream.str().find("\"type\":\"hotspots\""),
+            std::string::npos);
+}
+
 TEST(CheckpointResume, TelemetryConfigurationMismatchIsRejected) {
   // A checkpoint saved with one telemetry shape cannot restore into a
   // session with a different flight-recorder capacity.

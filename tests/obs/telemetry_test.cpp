@@ -5,8 +5,10 @@
 // bound-slack gauges staying non-negative on an unsaturated network.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lgg.hpp"
 
@@ -375,6 +377,70 @@ TEST(Telemetry, RecordCheckpointBumpsCounterAndRing) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, obs::EventKind::kCheckpoint);
   EXPECT_EQ(events[0].t, 42);
+}
+
+TEST(Telemetry, HotspotWindowsKeepTheSpaceSavingGuarantees) {
+  // The window feed hands each sketch one pre-aggregated update per node
+  // per window.  Against exact per-node counters fed every step, every
+  // reported entry must still bound its node's true weight
+  // (true <= w, w - err <= true) and every node above total / K must be
+  // monitored, at every window close.  No sink is attached: the windows
+  // close on the snapshot cadence regardless.
+  constexpr std::size_t kK = 3;
+  for (const TimeStep every : {TimeStep{10}, TimeStep{100}}) {
+    SCOPED_TRACE(every);
+    obs::TelemetryOptions topts;
+    topts.snapshot_every = every;
+    topts.hotspot_k = kK;
+    obs::Telemetry telemetry(topts);
+    core::SimulatorOptions options;
+    options.seed = 0x5A5A;
+    core::Simulator sim(core::scenarios::random_unsaturated(60, 220, 3, 3, 23),
+                        options);
+    sim.set_arrival(std::make_unique<core::BernoulliArrival>(0.85));
+    sim.set_loss(std::make_unique<core::BernoulliLoss>(0.05));
+    sim.set_telemetry(&telemetry);
+    const obs::HotspotTracker& tracker = *telemetry.hotspots();
+
+    const auto n = static_cast<std::size_t>(sim.network().node_count());
+    std::vector<std::uint64_t> exact[2] = {std::vector<std::uint64_t>(n, 0),
+                                           std::vector<std::uint64_t>(n, 0)};
+    std::size_t closes = 0;
+    bool evicted = false;
+    for (TimeStep t = 0; t < 1000; ++t) {
+      sim.step();
+      telemetry.drift().for_each_touched([&](NodeId v) {
+        const auto i = static_cast<std::size_t>(v);
+        const std::int64_t drift = telemetry.drift().node_drift(v);
+        if (drift > 0) exact[0][i] += static_cast<std::uint64_t>(drift);
+        exact[1][i] += static_cast<std::uint64_t>(sim.queues()[i]);
+      });
+      if ((t + 1) % every != 0) continue;
+      ++closes;
+      const obs::SpaceSaving* sketches[2] = {&tracker.drift_sketch(),
+                                             &tracker.queue_sketch()};
+      for (int s = 0; s < 2; ++s) {
+        std::uint64_t total = 0;
+        for (const std::uint64_t w : exact[s]) total += w;
+        ASSERT_EQ(sketches[s]->total_weight(), total) << "sketch " << s;
+        std::vector<bool> monitored(n, false);
+        for (const obs::SpaceSaving::Entry& e : sketches[s]->top()) {
+          monitored[e.key] = true;
+          EXPECT_LE(exact[s][e.key], e.weight) << "sketch " << s;
+          EXPECT_LE(e.weight - e.error, exact[s][e.key]) << "sketch " << s;
+          evicted = evicted || e.error > 0;
+        }
+        for (std::size_t v = 0; v < n; ++v) {
+          if (exact[s][v] * kK > total) {
+            EXPECT_TRUE(monitored[v])
+                << "sketch " << s << " lost heavy node " << v << " at t=" << t;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(closes, static_cast<std::size_t>(1000 / every));
+    EXPECT_TRUE(evicted) << "the fixture must exercise evictions";
+  }
 }
 
 }  // namespace

@@ -19,10 +19,14 @@
 //       (the governor emits at most one mode transition per step);
 //     * "hotspots" lines (emitted when hotspot analytics are enabled)
 //       immediately follow their snapshot with the same seq and t, carry
-//       k >= 1 and non-negative drift_total/queue_total, and their "drift"
-//       and "queue" top-K arrays have at most k entries with v >= 0,
-//       0 <= err <= w, and weights in non-increasing order (ties broken by
-//       ascending v) — the Space-Saving report order;
+//       k >= 1 and non-negative drift_total/queue_total that never
+//       decrease from one hotspots line to the next, and their "drift"
+//       and "queue" top-K arrays have at most k entries with
+//       0 <= v < the header's n, 0 <= err <= w, and weights in
+//       non-increasing order (ties broken by ascending v) — the
+//       Space-Saving report order; Space-Saving adds each update's weight
+//       to exactly one counter, so each array's weights sum to its total
+//       (checked exactly while the total is below 2^53);
 //     * churn events follow the topology-mutation schema: "edge_down" and
 //       "edge_up" carry both endpoints a and b; "node_leave", "node_join"
 //       and "rate_change" carry the node in a; a "node_leave" value (the
@@ -126,6 +130,7 @@ struct TelemetryChecker {
   std::optional<double> last_event_seq;
   std::optional<double> last_governor_mode_t;
   std::optional<double> last_topology_version;
+  std::optional<double> last_hotspot_total[2];  // drift_total, queue_total
   bool last_was_snapshot = false;
   std::size_t snapshots = 0;
   std::size_t events = 0;
@@ -355,24 +360,34 @@ struct TelemetryChecker {
     }
     const double k = number(obj, "k", "hotspots");
     if (k < 1.0) throw std::runtime_error("hotspots k < 1");
-    for (const char* total : {"drift_total", "queue_total"}) {
-      if (number(obj, total, "hotspots") < 0.0) {
-        throw std::runtime_error(std::string("hotspots ") + total +
+    const char* const lists[2] = {"drift", "queue"};
+    const char* const totals[2] = {"drift_total", "queue_total"};
+    for (int i = 0; i < 2; ++i) {
+      const double total = number(obj, totals[i], "hotspots");
+      if (total < 0.0) {
+        throw std::runtime_error(std::string("hotspots ") + totals[i] +
                                  " is negative");
       }
-    }
-    for (const char* list : {"drift", "queue"}) {
-      check_topk(*require(obj, list, Value::Kind::kArray, "hotspots"), list,
-                 k);
+      // The sketches only ever add weight.
+      if (last_hotspot_total[i] && total < *last_hotspot_total[i]) {
+        throw std::runtime_error(std::string("hotspots ") + totals[i] +
+                                 " decreased");
+      }
+      last_hotspot_total[i] = total;
+      check_topk(*require(obj, lists[i], Value::Kind::kArray, "hotspots"),
+                 lists[i], k, total);
     }
     ++hotspot_lines;
   }
 
-  /// One Space-Saving top-K report: at most k entries, each with a node id,
-  /// a weight, and an overestimation bound err <= w (so the true weight
-  /// w - err is non-negative), sorted by weight descending with ties broken
-  /// by ascending node id.
-  static void check_topk(const Value& entries, const char* list, double k) {
+  /// One Space-Saving top-K report: at most k entries, each with a node id
+  /// below the header's n, a weight, and an overestimation bound err <= w
+  /// (so the true weight w - err is non-negative), sorted by weight
+  /// descending with ties broken by ascending node id.  Every update adds
+  /// its weight to exactly one counter, so the weights sum to `total`;
+  /// below 2^53 every partial sum is an exact double.
+  void check_topk(const Value& entries, const char* list, double k,
+                  double total) const {
     const auto fail = [list](const char* what) {
       throw std::runtime_error(std::string("hotspots ") + list + what);
     };
@@ -380,12 +395,14 @@ struct TelemetryChecker {
       fail(" has more than k entries");
     }
     std::optional<std::pair<double, double>> last;  // (w, v)
+    double weight_sum = 0.0;
     for (const ValuePtr& entry : entries.array) {
       if (entry->kind != Value::Kind::kObject) fail(" entry is not an object");
       const double v = number(*entry, "v", list);
       const double w = number(*entry, "w", list);
       const double err = number(*entry, "err", list);
       if (v < 0.0) fail(" node id is negative");
+      if (v >= header_n) fail(" node id is not below the header's n");
       if (w < 0.0 || err < 0.0 || err > w) {
         fail(" entry violates 0 <= err <= w");
       }
@@ -394,6 +411,11 @@ struct TelemetryChecker {
         fail(" not in report order");
       }
       last.emplace(w, v);
+      weight_sum += w;
+    }
+    constexpr double kExactBelow = 9007199254740992.0;  // 2^53
+    if (total < kExactBelow && weight_sum != total) {
+      fail(" weights do not sum to the total");
     }
   }
 };
