@@ -230,8 +230,7 @@ void LeakyBucketArrival::begin_step(const ArrivalContext& ctx) {
 PacketCount LeakyBucketArrival::packets(NodeId v, Cap in_rate, TimeStep,
                                         Rng&) {
   // Lazy growth covers direct (simulator-less) use; under a simulator the
-  // vector is presized by begin_step, so distinct nodes touch disjoint
-  // slots and packets() is safe to run shard-parallel.
+  // vector is presized by begin_step.
   if (static_cast<std::size_t>(v) >= bucket_.size()) {
     bucket_.resize(static_cast<std::size_t>(v) + 1, kUntouched);
   }

@@ -6,11 +6,11 @@
 // Each process maps (node, in-rate, step) to an injection count.
 //
 // Processes with cross-step or cross-node state hook the per-step
-// `begin_step` callback (called exactly once per step, serially, by both
-// the serial and the shard engine before any packets() call) and may
-// publish a sparse `active_sources` set so the injection phase only visits
-// the sources that can inject this step — the mechanism behind O(active)
-// injection on million-source topologies (src/traffic/adversary.hpp).
+// `begin_step` callback (called exactly once per step, serially, before
+// any packets() call) and may publish a sparse `active_sources` set so
+// the injection phase only visits the sources that can inject this step —
+// the mechanism behind O(active) injection on million-source topologies
+// (src/traffic/adversary.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -73,8 +73,7 @@ class ArrivalProcess {
                               Rng& rng) = 0;
 
   /// Called exactly once per step, serially, before any packets() call of
-  /// that step — by the serial and the shard engine alike, so stateful
-  /// processes stay bitwise engine-independent.  Default: nothing.
+  /// that step.  Default: nothing.
   virtual void begin_step(const ArrivalContext&) {}
 
   /// Sparse injection: a non-null return is the sorted, duplicate-free set
@@ -86,12 +85,7 @@ class ArrivalProcess {
     return nullptr;
   }
 
-  /// True when packets() may be called concurrently for distinct nodes —
-  /// either a pure function of (v, in_rate, t, rng), or mutable state that
-  /// is strictly per-node (disjoint slots presized in begin_step).  The
-  /// shard engine only parallelizes the injection phase when this holds;
-  /// other processes run it serially, with identical results.  Defaults to
-  /// false so a new process is safe until it opts in.
+  /// Unused by liblgg; kept because perfbench's TracedArrival overrides it.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 
   /// Telemetry hook, mirroring the other pluggable components: called when
@@ -110,7 +104,6 @@ class ArrivalProcess {
 class ExactArrival final : public ArrivalProcess {
  public:
   [[nodiscard]] std::string_view name() const override { return "exact"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng&) override {
     return in_rate;
   }
@@ -124,7 +117,6 @@ class ScaledArrival final : public ArrivalProcess {
  public:
   explicit ScaledArrival(double factor);
   [[nodiscard]] std::string_view name() const override { return "scaled"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId v, Cap in_rate, TimeStep t, Rng&) override;
 
  private:
@@ -137,7 +129,6 @@ class BernoulliArrival final : public ArrivalProcess {
  public:
   explicit BernoulliArrival(double p);
   [[nodiscard]] std::string_view name() const override { return "bernoulli"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng& rng) override;
 
  private:
@@ -150,7 +141,6 @@ class UniformArrival final : public ArrivalProcess {
  public:
   explicit UniformArrival(double mean_factor);
   [[nodiscard]] std::string_view name() const override { return "uniform"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng& rng) override;
 
  private:
@@ -164,7 +154,6 @@ class PoissonArrival final : public ArrivalProcess {
  public:
   explicit PoissonArrival(double mean_factor);
   [[nodiscard]] std::string_view name() const override { return "poisson"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng& rng) override;
 
  private:
@@ -177,7 +166,6 @@ class GeometricArrival final : public ArrivalProcess {
  public:
   explicit GeometricArrival(double mean_factor);
   [[nodiscard]] std::string_view name() const override { return "geometric"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng& rng) override;
 
  private:
@@ -194,7 +182,6 @@ class ParetoArrival final : public ArrivalProcess {
  public:
   ParetoArrival(double alpha, double mean_factor);
   [[nodiscard]] std::string_view name() const override { return "pareto"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep, Rng& rng) override;
 
  private:
@@ -206,13 +193,12 @@ class ParetoArrival final : public ArrivalProcess {
 /// mean_factor·in(v)·(1 + amp·sin(2πt/period)) — a day/night load curve.
 /// Injections are the floor-difference of the closed-form cumulative
 /// C(t) = mean·in·(t − amp·(period/2π)·(cos(2πt/period) − 1)), so the
-/// process is stateless, exact over any horizon, and parallel-safe.
+/// process is stateless and exact over any horizon.
 class DiurnalArrival final : public ArrivalProcess {
  public:
   /// mean_factor >= 0, amp in [0, 1] (rate never negative), period >= 1.
   DiurnalArrival(double mean_factor, double amp, TimeStep period);
   [[nodiscard]] std::string_view name() const override { return "diurnal"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId, Cap in_rate, TimeStep t, Rng&) override;
 
  private:
@@ -229,7 +215,6 @@ class BurstArrival final : public ArrivalProcess {
   BurstArrival(double high_factor, double low_factor, TimeStep burst_len,
                TimeStep period);
   [[nodiscard]] std::string_view name() const override { return "burst"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId v, Cap in_rate, TimeStep t, Rng&) override;
 
   [[nodiscard]] double average_factor() const;
@@ -254,8 +239,6 @@ class LeakyBucketArrival final : public ArrivalProcess {
   [[nodiscard]] std::string_view name() const override {
     return "leaky_bucket";
   }
-  /// Per-node bucket slots are disjoint and presized in begin_step.
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   void begin_step(const ArrivalContext& ctx) override;
   PacketCount packets(NodeId v, Cap in_rate, TimeStep t, Rng&) override;
 
@@ -285,10 +268,6 @@ class TokenBucketArrival final : public ArrivalProcess {
   [[nodiscard]] std::string_view name() const override {
     return "token_bucket";
   }
-  /// Token balances live in a flat per-node-index vector presized in
-  /// begin_step, so concurrent packets() calls for distinct nodes touch
-  /// disjoint slots.
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   void begin_step(const ArrivalContext& ctx) override;
   PacketCount packets(NodeId v, Cap in_rate, TimeStep t, Rng&) override;
 
@@ -310,7 +289,6 @@ class TraceArrival final : public ArrivalProcess {
  public:
   explicit TraceArrival(std::map<NodeId, std::vector<PacketCount>> trace);
   [[nodiscard]] std::string_view name() const override { return "trace"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   PacketCount packets(NodeId v, Cap, TimeStep t, Rng&) override;
 
  private:

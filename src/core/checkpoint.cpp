@@ -10,7 +10,6 @@
 
 #include "common/binio.hpp"
 #include "common/failpoint.hpp"
-#include "core/parallel_step.hpp"
 #include "core/simulator.hpp"
 
 namespace lgg::core {
@@ -309,61 +308,69 @@ void Simulator::restore_checkpoint(std::istream& is) {
       fail("an admission controller is attached but the checkpoint has none");
     }
 
-    // Everything parsed — apply.  Queues go through a full recompute of the
-    // Σ accumulators, then cross-check against the saved values: a mismatch
-    // means the payload is internally inconsistent.
-    queue_ = std::move(queue);
-    sum_q_ = 0;
-    sum_sq_ = 0;
-    for (const PacketCount q : queue_) {
-      sum_q_ += q;
-      sum_sq_ += detail::square(q);
-    }
-    if (sum_q_ != want_sum_q) fail("Σq accumulator mismatch");
-    const auto want_sum_sq =
-        (((static_cast<detail::QuadAccum>(sum_sq_hi) << 32) << 32)) |
-        static_cast<detail::QuadAccum>(sum_sq_lo);
-    if (sum_sq_ != want_sum_sq) fail("Σq² accumulator mismatch");
-
-    for (EdgeId e = 0; e < mask_.size(); ++e) {
-      mask_.set_active(e, active[static_cast<std::size_t>(e)] != 0);
-    }
-    for (std::uint32_t v = 0; v < spec_count; ++v) {
-      if (!(net_.spec(static_cast<NodeId>(v)) == specs[v])) {
-        net_.set_spec(static_cast<NodeId>(v), specs[v]);
+    // Everything parsed — apply.  The accumulators and the component blobs
+    // are checked only as they are applied, so this simulator's own
+    // checkpoint is kept and restored on any rejection: a failed restore
+    // leaves the simulator exactly as it was.
+    std::stringstream backup(std::ios::in | std::ios::out | std::ios::binary);
+    save_checkpoint(backup);
+    try {
+      // Queues go through a full recompute of the Σ accumulators, then
+      // cross-check against the saved values: a mismatch means the payload
+      // is internally inconsistent.
+      queue_ = std::move(queue);
+      sum_q_ = 0;
+      sum_sq_ = 0;
+      for (const PacketCount q : queue_) {
+        sum_q_ += q;
+        sum_sq_ += detail::square(q);
       }
-    }
-    // Specs may have changed the role sets; a sharding engine's per-shard
-    // role lists must follow.
-    if (engine_ != nullptr) engine_->refresh_roles(net_);
-    t_ = t;
-    topology_version_ = topology_version;
-    initial_total_ = initial_total;
-    totals_ = totals;
+      if (sum_q_ != want_sum_q) fail("Σq accumulator mismatch");
+      const auto want_sum_sq =
+          (((static_cast<detail::QuadAccum>(sum_sq_hi) << 32) << 32)) |
+          static_cast<detail::QuadAccum>(sum_sq_lo);
+      if (sum_sq_ != want_sum_sq) fail("Σq² accumulator mismatch");
 
-    // Adopting the saved seed (rather than requiring the assembled one to
-    // match) keeps the resume bitwise-faithful even when the restoring
-    // process was launched with a different --seed.
-    options_.seed = seed;
+      for (EdgeId e = 0; e < mask_.size(); ++e) {
+        mask_.set_active(e, active[static_cast<std::size_t>(e)] != 0);
+      }
+      for (std::uint32_t v = 0; v < spec_count; ++v) {
+        if (!(net_.spec(static_cast<NodeId>(v)) == specs[v])) {
+          net_.set_spec(static_cast<NodeId>(v), specs[v]);
+        }
+      }
+      t_ = t;
+      topology_version_ = topology_version;
+      initial_total_ = initial_total;
+      totals_ = totals;
 
-    const auto load = [&](std::size_t i, auto& target) {
-      std::istringstream blob(blobs[i], std::ios::binary);
-      target.load_state(blob);
-    };
-    protocol_->reset();
-    load(0, *protocol_);
-    load(1, *arrival_);
-    load(2, *loss_);
-    load(3, *scheduler_);
-    load(4, *dynamics_);
-    if (faults_ != nullptr) load(5, *faults_);
-    if (had_telemetry && telemetry_ != nullptr) {
-      std::istringstream blob(telemetry_blob, std::ios::binary);
-      telemetry_->load_state(blob);
-    }
-    if (had_admission && admission_ != nullptr) {
-      std::istringstream blob(admission_blob, std::ios::binary);
-      admission_->load_state(blob);
+      // Adopting the saved seed (rather than requiring the assembled one to
+      // match) keeps the resume bitwise-faithful even when the restoring
+      // process was launched with a different --seed.
+      options_.seed = seed;
+
+      const auto load = [&](std::size_t i, auto& target) {
+        std::istringstream blob(blobs[i], std::ios::binary);
+        target.load_state(blob);
+      };
+      protocol_->reset();
+      load(0, *protocol_);
+      load(1, *arrival_);
+      load(2, *loss_);
+      load(3, *scheduler_);
+      load(4, *dynamics_);
+      if (faults_ != nullptr) load(5, *faults_);
+      if (had_telemetry && telemetry_ != nullptr) {
+        std::istringstream blob(telemetry_blob, std::ios::binary);
+        telemetry_->load_state(blob);
+      }
+      if (had_admission && admission_ != nullptr) {
+        std::istringstream blob(admission_blob, std::ios::binary);
+        admission_->load_state(blob);
+      }
+    } catch (...) {
+      restore_checkpoint(backup);
+      throw;
     }
   } catch (const CheckpointError&) {
     throw;

@@ -63,9 +63,8 @@ inline constexpr char kCheckpointMagic[8] = {'L', 'G', 'G', 'C',
 /// after the edge mask.  Topology churn (core/faults.hpp) mutates specs
 /// mid-run, so a mid-churn checkpoint must carry the *current* rates — the
 /// network file only has the initial ones.  Restore re-applies the saved
-/// specs, which also rebuilds the role indices (and, when sharding is
-/// enabled, the per-shard role lists), so a mid-churn resume is bitwise
-/// identical to the uninterrupted run.
+/// specs, which also rebuilds the role indices, so a mid-churn resume is
+/// bitwise identical to the uninterrupted run.
 /// v6: the telemetry section gains a hotspot-tracker subsection (strict
 /// presence byte + both Space-Saving sketches) after the flight ring, so
 /// a resumed run with --hotspots emits byte-identical "hotspots" lines.

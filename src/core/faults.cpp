@@ -423,6 +423,11 @@ std::string to_string(const FaultSchedule& schedule) {
 FaultInjector::FaultInjector(FaultSchedule schedule, std::uint64_t seed)
     : schedule_(std::move(schedule)), rng_(seed) {}
 
+void FaultInjector::size_to(const SdNetwork& net) {
+  ensure_sized(net.node_count());
+  ensure_edges(net.topology().edge_count());
+}
+
 void FaultInjector::ensure_sized(NodeId n) {
   const auto size = static_cast<std::size_t>(n);
   if (down_until_.size() >= size) return;
@@ -701,16 +706,22 @@ void FaultInjector::save_state(std::ostream& os) const {
 }
 
 void FaultInjector::load_state(std::istream& is) {
+  // Ids index the per-node and per-edge tables, which size_to fixed to the
+  // network, so any id outside it is a corrupt blob.
+  const auto node_index = [&](std::int64_t v) {
+    if (v < 0 || static_cast<std::uint64_t>(v) >= down_until_.size()) {
+      throw std::runtime_error("FaultInjector: node " + std::to_string(v) +
+                               " outside the network");
+    }
+    return static_cast<std::size_t>(v);
+  };
   std::fill(down_until_.begin(), down_until_.end(), TimeStep{0});
   std::fill(down_now_.begin(), down_now_.end(), char{0});
   const std::uint32_t down_count = binio::read_u32(is);
   for (std::uint32_t i = 0; i < down_count; ++i) {
-    const auto v = static_cast<std::size_t>(binio::read_i64(is));
+    const std::size_t v = node_index(binio::read_i64(is));
     const TimeStep until = binio::read_i64(is);
     const std::uint8_t now = binio::read_u8(is);
-    if (v >= down_until_.size()) {
-      ensure_sized(static_cast<NodeId>(v) + 1);
-    }
     down_until_[v] = until;
     down_now_[v] = static_cast<char>(now != 0 ? 1 : 0);
   }
@@ -726,21 +737,27 @@ void FaultInjector::load_state(std::istream& is) {
   departed_count_ = 0;
   const std::uint32_t removed_count = binio::read_u32(is);
   for (std::uint32_t i = 0; i < removed_count; ++i) {
-    const auto e = static_cast<std::size_t>(binio::read_i64(is));
-    ensure_edges(static_cast<EdgeId>(e) + 1);
-    if (!edge_removed_[e]) {
-      edge_removed_[e] = 1;
+    const std::int64_t e = binio::read_i64(is);
+    if (e < 0 || static_cast<std::uint64_t>(e) >= edge_removed_.size()) {
+      throw std::runtime_error("FaultInjector: edge " + std::to_string(e) +
+                               " outside the network");
+    }
+    auto& removed = edge_removed_[static_cast<std::size_t>(e)];
+    if (!removed) {
+      removed = 1;
       ++removed_edge_count_;
     }
   }
   const std::uint32_t departed_count = binio::read_u32(is);
   for (std::uint32_t i = 0; i < departed_count; ++i) {
-    const auto v = static_cast<std::size_t>(binio::read_i64(is));
-    if (v >= departed_.size()) ensure_sized(static_cast<NodeId>(v) + 1);
+    const std::size_t v = node_index(binio::read_i64(is));
     NodeSpec spec;
     spec.in = binio::read_i64(is);
     spec.out = binio::read_i64(is);
     spec.retention = binio::read_i64(is);
+    if (spec.in < 0 || spec.out < 0 || spec.retention < 0) {
+      throw std::runtime_error("FaultInjector: negative parked spec");
+    }
     if (!departed_[v]) {
       departed_[v] = 1;
       ++departed_count_;

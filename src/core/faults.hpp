@@ -41,8 +41,7 @@
 //
 // Each churn event fires exactly once, at step `at`, draws from no RNG,
 // and reports what changed through a TopologyDelta so downstream consumers
-// (admission certificates, shard role lists, telemetry) can react in
-// O(|delta|).
+// (admission certificates, telemetry) can react in O(|delta|).
 //
 // Determinism: scheduled events are pure functions of the step index, and
 // the random-crash process draws from the injector's own RNG (seeded at
@@ -244,9 +243,15 @@ class FaultInjector {
 
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
 
-  // Checkpoint support: the down-state and the fault RNG stream are the
-  // only cross-step state (windowed effects are recomputed from the
-  // schedule each begin_step).
+  /// Sizes the per-node and per-edge state to `net` (Simulator::set_faults
+  /// calls it).  load_state rejects ids outside the sized network.
+  void size_to(const SdNetwork& net);
+
+  // Checkpoint support: the down-state, the fault RNG stream and the churn
+  // overlays are the only cross-step state (windowed effects are
+  // recomputed from the schedule each begin_step).  load_state throws
+  // std::runtime_error on a node or edge id outside the network or a
+  // negative parked spec, and may leave the state partly loaded.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

@@ -69,19 +69,15 @@ void ParallelStepEngine::fold(Simulator& sim, StepStats& stats) {
     ShardScratch& sh = shards_[s];
     sim.sum_q_ += sh.sum_q_delta;
     sim.sum_sq_ += sh.sum_sq_delta;
-    stats.injected += sh.stats.injected;
     stats.sent += sh.stats.sent;
     stats.lost += sh.stats.lost;
     stats.delivered += sh.stats.delivered;
-    stats.extracted += sh.stats.extracted;
     if (sim.drift_ != nullptr) {
       const auto& nodes = plan_.shards[s].nodes;
       for (const std::uint32_t local : sh.drift_touched) {
         const NodeId v = nodes[local];
-        // Record every cause, zeros included: a zero-ΔP mutation (e.g. an
-        // injection of 0 packets) still marks its node touched in the
-        // serial engine, and the telemetry per_node list is exactly the
-        // touched set.
+        // The apply phase produces only kForwarding and kLoss; the other
+        // causes add zero.
         for (std::size_t c = 0; c < obs::kDriftCauseCount; ++c) {
           sim.drift_->record(v, static_cast<obs::DriftCause>(c),
                              sh.drift[local * obs::kDriftCauseCount + c]);
@@ -131,34 +127,6 @@ void ParallelStepEngine::run_shards(Simulator& sim, StepPhase phase,
   });
 }
 
-std::uint64_t ParallelStepEngine::shard_total(
-    PacketCount StepStats::*counter) const {
-  std::uint64_t total = 0;
-  for (const ShardScratch& sh : shards_) {
-    total += static_cast<std::uint64_t>(sh.stats.*counter);
-  }
-  return total;
-}
-
-std::uint64_t ParallelStepEngine::inject(Simulator& sim) {
-  run_shards(sim, StepPhase::kInjection, [&](std::size_t s, ShardScratch& sh) {
-    for (const NodeId v : plan_.shards[s].sources) {
-      const NodeSpec& spec = sim.net_.spec(v);
-      Rng rng = sim.phase_rng(StepPhase::kInjection,
-                              static_cast<std::uint64_t>(v));
-      const PacketCount a = sim.arrival_->packets(v, spec.in, sim.t_, rng);
-      LGG_REQUIRE(a >= 0, "arrival process returned a negative count");
-      if (sim.faults_ != nullptr && sim.faults_->node_down(v)) continue;
-      const PacketCount extra =
-          sim.faults_ != nullptr ? sim.faults_->surge_extra(v) : 0;
-      shard_apply(sim, sh, v, a + extra, obs::DriftCause::kInjection);
-      sh.stats.injected += a + extra;
-    }
-  });
-  sim.last_injection_visits_ = sim.net_.sources().size();
-  return shard_total(&StepStats::injected);
-}
-
 void ParallelStepEngine::select(Simulator& sim, const StepView& view) {
   run_shards(sim, StepPhase::kSelection, [&](std::size_t s, ShardScratch& sh) {
     sh.txs.clear();
@@ -200,20 +168,11 @@ std::uint64_t ParallelStepEngine::apply(Simulator& sim) {
       }
     }
   });
-  return shard_total(&StepStats::sent);
-}
-
-std::uint64_t ParallelStepEngine::extract(Simulator& sim) {
-  // Every sink's draw is addressed and every mutation is owner-exclusive.
-  run_shards(sim, StepPhase::kExtraction, [&](std::size_t s, ShardScratch& sh) {
-    for (const NodeId v : plan_.shards[s].sinks) {
-      const std::optional<PacketCount> amount = sim.sink_extraction(v);
-      if (!amount) continue;
-      shard_apply(sim, sh, v, -*amount, obs::DriftCause::kExtraction);
-      sh.stats.extracted += *amount;
-    }
-  });
-  return shard_total(&StepStats::extracted);
+  std::uint64_t sent = 0;
+  for (const ShardScratch& sh : shards_) {
+    sent += static_cast<std::uint64_t>(sh.stats.sent);
+  }
+  return sent;
 }
 
 }  // namespace lgg::core

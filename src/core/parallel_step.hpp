@@ -1,14 +1,13 @@
 // The graph-partitioned shard engine behind Simulator::enable_sharding.
 //
-// One skeleton, four fan-out points.  Simulator::step is the only code that
+// One skeleton, two fan-out points.  Simulator::step is the only code that
 // sequences the eight phases, for both engines; while sharding is enabled
-// it hands the node-local ones to this engine, which fans them out over a
-// ShardPlan on a thread pool:
+// it hands the two per-link ones to this engine, which fans them out over
+// a ShardPlan on a thread pool:
 //
 //   1. dynamics + faults        skeleton  (mutates the shared edge mask)
-//   2. injection                inject()  (the skeleton keeps it when
-//                                          admission control or a stateful
-//                                          or sparse arrival forces order)
+//   2. injection                skeleton  (O(sources), touches a handful
+//                                          of nodes)
 //   3. declarations             skeleton  (O(retention nodes), cheap)
 //   4. selection                select()  (protocols with local_selection;
 //                                          the skeleton selects for
@@ -17,7 +16,7 @@
 //   6. link-conflict resolution skeleton
 //   7. loss mark                skeleton  (loss models may hold state)
 //      apply                    apply()   (the boundary exchange — below)
-//   8. extraction               extract()
+//   8. extraction               skeleton  (O(sinks))
 //
 // begin_step() is the engine's prologue (profiler lanes, drift tables) and
 // fold() its epilogue, run by the skeleton after the last phase.
@@ -70,15 +69,6 @@ class ParallelStepEngine {
   }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
 
-  /// Re-derives the per-shard role lists after churn mutated node specs
-  /// (node_leave/join, nudges through zero).  Ownership and node lists are
-  /// untouched — churn never changes the node set — so the repaired plan
-  /// visits exactly the nodes the serial engine does and sharded runs stay
-  /// bitwise identical across every mutation.
-  void refresh_roles(const SdNetwork& net) {
-    repair_shard_plan_roles(plan_, net);
-  }
-
  private:
   // Every `sim` below is the simulator this engine was built for.
   friend class Simulator;
@@ -91,7 +81,7 @@ class ParallelStepEngine {
     std::uint64_t active_nodes = 0;
     PacketCount sum_q_delta = 0;
     detail::QuadAccum sum_sq_delta = 0;
-    StepStats stats;  ///< only the sharded-phase counters are used
+    StepStats stats;  ///< only sent, lost and delivered are used
     // Sparse per-(local node, cause) drift contributions, only maintained
     // while telemetry is armed.
     std::vector<std::uint64_t> drift;  // local node × kDriftCauseCount
@@ -103,28 +93,20 @@ class ParallelStepEngine {
   /// the drift tables while telemetry is armed.
   void begin_step(Simulator& sim);
 
-  // The fan-outs.  Each returns its phase's work counter, summed over the
-  // shards before the fold.
+  // The two fan-outs.
 
-  /// Phase 2: every shard injects at its own sources.
-  std::uint64_t inject(Simulator& sim);
   /// Phase 4: every shard selects for its own nodes against `view`; the
   /// lists merge into sim.txs_ in ascending sender order.
   void select(Simulator& sim, const StepView& view);
   /// Phase 7 application: every shard applies its own nodes' mutations.
+  /// Returns the transmissions sent, summed over the shards.
   std::uint64_t apply(Simulator& sim);
-  /// Phase 8: every shard extracts at its own sinks.
-  std::uint64_t extract(Simulator& sim);
 
   /// Runs `body(shard, scratch)` for every shard on the pool, timing each
   /// body on its shard's profiler lane.  Exceptions from any shard (e.g.
   /// LGG_REQUIRE failures) rethrow on the calling thread.
   template <typename Body>
   void run_shards(Simulator& sim, StepPhase phase, const Body& body);
-
-  /// Σ over shards of one StepStats counter, before the fold.
-  [[nodiscard]] std::uint64_t shard_total(
-      PacketCount StepStats::*counter) const;
 
   /// The per-shard mutation funnel (mirror of apply_queue_delta).
   void shard_apply(Simulator& sim, ShardScratch& sh, NodeId v,

@@ -66,8 +66,7 @@ class SdNetwork {
   // change roles, but scheduled churn (core/faults.hpp node_join/
   // node_leave/nudge) mutates specs mid-run through set_spec — callers
   // holding references to these lists must re-read them after any step
-  // whose TopologyDelta is non-empty (the shard engine does exactly that
-  // via ParallelStepEngine::refresh_roles).
+  // whose TopologyDelta is non-empty.
 
   /// Nodes with in > 0 (injection side of S ∪ D), ascending.
   [[nodiscard]] const std::vector<NodeId>& sources() const {

@@ -20,23 +20,7 @@ ShardPlan build_shard_plan(const SdNetwork& net, std::uint32_t shard_count) {
         static_cast<std::uint32_t>(shard.nodes.size());
     shard.nodes.push_back(v);
   }
-  repair_shard_plan_roles(plan, net);
   return plan;
-}
-
-void repair_shard_plan_roles(ShardPlan& plan, const SdNetwork& net) {
-  for (auto& shard : plan.shards) {
-    shard.sources.clear();
-    shard.sinks.clear();
-  }
-  // Role lists inherit ascending order from the role indices of the
-  // network, which are ascending by construction.
-  for (const NodeId v : net.sources()) {
-    plan.shards[plan.owner[static_cast<std::size_t>(v)]].sources.push_back(v);
-  }
-  for (const NodeId v : net.sinks()) {
-    plan.shards[plan.owner[static_cast<std::size_t>(v)]].sinks.push_back(v);
-  }
 }
 
 }  // namespace lgg::core

@@ -1,14 +1,13 @@
 // The static node-ownership plan behind the shard engine.
 //
 // A ShardPlan fixes, for one network and one shard count K, which shard
-// owns each node and the role-filtered node lists each shard iterates
-// (its nodes, sources, sinks — all ascending, preserving the serial
-// engine's per-phase visit order within a shard).  Ownership is exclusive:
-// only the owner shard ever mutates a node's queue, which is what lets
-// the apply phase run shard-parallel without locks — a shard scans the
-// full transmission list in order and applies exactly the mutations of
-// its own nodes, so each node sees its mutations in precisely the serial
-// order.
+// owns each node and the ascending node list each shard iterates,
+// preserving the serial engine's visit order within a shard.  Ownership
+// is exclusive: only the owner shard ever mutates a node's queue, which
+// is what lets the apply phase run shard-parallel without locks — a shard
+// scans the full transmission list in order and applies exactly the
+// mutations of its own nodes, so each node sees its mutations in
+// precisely the serial order.
 //
 // The plan derives deterministically from (base graph, K) via the BFS
 // edge-cut partitioner (graph/partition.hpp).  It holds no trajectory
@@ -25,9 +24,7 @@ namespace lgg::core {
 
 struct ShardPlan {
   struct Shard {
-    std::vector<NodeId> nodes;    ///< owned nodes, ascending
-    std::vector<NodeId> sources;  ///< owned nodes with in > 0, ascending
-    std::vector<NodeId> sinks;    ///< owned nodes with out > 0, ascending
+    std::vector<NodeId> nodes;  ///< owned nodes, ascending
   };
 
   std::uint32_t shard_count = 0;
@@ -43,12 +40,5 @@ struct ShardPlan {
 /// counts differ by at most one; shards may be empty when shard_count
 /// exceeds the node count.
 ShardPlan build_shard_plan(const SdNetwork& net, std::uint32_t shard_count);
-
-/// Rebuilds the per-shard role lists (sources/sinks) from the network's
-/// current role indices, keeping ownership and node lists untouched.  Churn
-/// mutates specs — never the node set — so after any churn step this is all
-/// the plan needs to stay exact; ownership derives from the base graph
-/// alone.  O(sources + sinks).
-void repair_shard_plan_roles(ShardPlan& plan, const SdNetwork& net);
 
 }  // namespace lgg::core

@@ -64,7 +64,10 @@ void Simulator::set_dynamics(std::unique_ptr<TopologyDynamics> dynamics) {
 }
 
 void Simulator::set_faults(std::unique_ptr<FaultInjector> faults) {
-  if (faults != nullptr) faults->schedule().validate(net_);
+  if (faults != nullptr) {
+    faults->schedule().validate(net_);
+    faults->size_to(net_);
+  }
   faults_ = std::move(faults);
   if (telemetry_ != nullptr && faults_ != nullptr) {
     faults_->register_metrics(telemetry_->registry());
@@ -228,10 +231,6 @@ const graph::EdgeMask* Simulator::phase_dynamics(StepStats& stats,
     if (churned) {
       ++topology_version_;
       stats.topology_changed = true;
-      // Role lists may have changed (node_leave/join, nudges through
-      // zero); the shard engine re-derives its per-shard role lists so
-      // sharded runs keep visiting exactly the serial engine's nodes.
-      if (engine_ != nullptr) engine_->refresh_roles(net_);
       if (tel != nullptr) record_churn_flight_events(tel);
     }
     const FaultInjector::StepEffects effects = faults_->begin_step(
@@ -279,8 +278,8 @@ void Simulator::arrival_begin_step() {
   arrival_->begin_step(ctx);
 }
 
-void Simulator::phase_injection_serial(StepStats& stats, obs::Telemetry* tel,
-                                       const graph::EdgeMask* active_mask) {
+void Simulator::phase_injection(StepStats& stats, obs::Telemetry* tel,
+                                const graph::EdgeMask* active_mask) {
   // Injection — only source nodes (in > 0) can inject; down sources
   // don't, surging sources inject extra on top of the arrival process.
   // An attached admission controller sees the pre-injection potential and
@@ -507,33 +506,12 @@ void Simulator::step_epilogue(StepStats& stats, obs::Telemetry* tel,
   ++t_;
 }
 
-std::optional<PacketCount> Simulator::sink_extraction(NodeId v) const {
-  if (faults_ != nullptr && (faults_->node_down(v) || faults_->sink_out(v))) {
-    return std::nullopt;
-  }
-  const NodeSpec& spec = net_.spec(v);
-  const PacketCount q = queue_[static_cast<std::size_t>(v)];
-  Rng rng = phase_rng(StepPhase::kExtraction, static_cast<std::uint64_t>(v));
-  PacketCount amount = 0;
-  if (options_.extraction_basis == ExtractionBasis::kSnapshot) {
-    // The paper's literal min{out(d), q_t(d)} with q_t the step-start
-    // (post-injection) snapshot, clamped to what the queue holds now.
-    amount = extraction_amount(spec, snapshot_[static_cast<std::size_t>(v)],
-                               options_.extraction_policy, rng);
-    amount = std::min(amount, q);
-  } else {
-    amount = extraction_amount(spec, q, options_.extraction_policy, rng);
-  }
-  LGG_ASSERT(amount >= 0 && amount <= q);
-  return amount;
-}
-
 StepStats Simulator::step() {
   StepStats stats;
   obs::Telemetry* const tel = arm_telemetry();
-  // Non-null while sharding is enabled: the four node-local phases below
-  // fan out over its shards; every other part of the step runs here, once,
-  // for both engines.
+  // Non-null while sharding is enabled: selection and the loss-apply
+  // application fan out over its shards; every other part of the step
+  // runs here, once, for both engines.
   ParallelStepEngine* const engine = engine_.get();
   if (engine != nullptr) engine->begin_step(*this);
 
@@ -556,20 +534,11 @@ StepStats Simulator::step() {
   const graph::EdgeMask* active_mask = phase_dynamics(stats, tel);
   lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
 
-  // 2. Injection.  The shard engine takes it only when order cannot be
-  // observed: no admission controller (its shed decisions depend on call
-  // order) and a parallel-safe, dense arrival process.  A sparse process
-  // (active_sources() non-null) stays serial, already O(active sources).
-  // Each source draws its own addressed stream either way.
+  // 2. Injection.
   if (observer_ != nullptr) pre_injection_ = queue_;
   arrival_begin_step();
-  if (engine != nullptr && admission_ == nullptr &&
-      arrival_->parallel_safe() && arrival_->active_sources() == nullptr) {
-    lap(StepPhase::kInjection, engine->inject(*this), /*sharded=*/true);
-  } else {
-    phase_injection_serial(stats, tel, active_mask);
-    lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
-  }
+  phase_injection(stats, tel, active_mask);
+  lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
 
   // 3. Declarations.
   std::uint64_t declaration_work = 0;
@@ -657,18 +626,29 @@ StepStats Simulator::step() {
   lap(StepPhase::kLossApply, sent, engine != nullptr);
 
   // 8. Extraction — only sink nodes (out > 0) can extract; down or outaged
-  // sinks behave as out(d) = 0 this step.
-  if (engine != nullptr) {
-    lap(StepPhase::kExtraction, engine->extract(*this), /*sharded=*/true);
-  } else {
-    for (const NodeId v : net_.sinks()) {
-      const std::optional<PacketCount> amount = sink_extraction(v);
-      if (!amount) continue;
-      apply_queue_delta(v, -*amount, obs::DriftCause::kExtraction);
-      stats.extracted += *amount;
+  // sinks behave as out(d) = 0 this step and their queues are not touched.
+  for (const NodeId v : net_.sinks()) {
+    if (faults_ != nullptr && (faults_->node_down(v) || faults_->sink_out(v))) {
+      continue;
     }
-    lap(StepPhase::kExtraction, static_cast<std::uint64_t>(stats.extracted));
+    const NodeSpec& spec = net_.spec(v);
+    const PacketCount q = queue_[static_cast<std::size_t>(v)];
+    Rng rng = phase_rng(StepPhase::kExtraction, static_cast<std::uint64_t>(v));
+    PacketCount amount = 0;
+    if (options_.extraction_basis == ExtractionBasis::kSnapshot) {
+      // The paper's literal min{out(d), q_t(d)} with q_t the step-start
+      // (post-injection) snapshot, clamped to what the queue holds now.
+      amount = extraction_amount(spec, snapshot_[static_cast<std::size_t>(v)],
+                                 options_.extraction_policy, rng);
+      amount = std::min(amount, q);
+    } else {
+      amount = extraction_amount(spec, q, options_.extraction_policy, rng);
+    }
+    LGG_ASSERT(amount >= 0 && amount <= q);
+    apply_queue_delta(v, -amount, obs::DriftCause::kExtraction);
+    stats.extracted += amount;
   }
+  lap(StepPhase::kExtraction, static_cast<std::uint64_t>(stats.extracted));
   if (prof != nullptr) prof->finish_step();
 
   if (engine != nullptr) engine->fold(*this, stats);

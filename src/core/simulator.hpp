@@ -21,7 +21,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/admission.hpp"
 #include "core/arrival.hpp"
@@ -145,8 +144,8 @@ class Simulator {
 
   /// Switches step() to the graph-partitioned shard engine: nodes are
   /// split into `shards` balanced regions (graph/partition.hpp) and the
-  /// injection/selection/apply/extraction phases run shard-parallel on an
-  /// internal thread pool (`threads` == 0 picks min(shards, hardware)).
+  /// selection and loss-apply phases run shard-parallel on an internal
+  /// thread pool (`threads` == 0 picks min(shards, hardware)).
   /// The trajectory — queues, stats, drift attribution, telemetry bytes,
   /// checkpoint bytes — is bitwise identical to the serial engine for
   /// every (shards, threads) choice.  May be called between steps; the
@@ -262,14 +261,15 @@ class Simulator {
   // Crash-safe checkpointing (implemented in core/checkpoint.cpp).  A
   // restored simulator continues bitwise-identically to the uninterrupted
   // run, provided it is reassembled with the same network and components
-  // before restore_checkpoint is called.
+  // before restore_checkpoint is called.  A restore that throws
+  // CheckpointError leaves the simulator exactly as it was.
   void save_checkpoint(std::ostream& os) const;
   void restore_checkpoint(std::istream& is);
 
  private:
   // The shard engine is the only other writer of simulator state: step()
-  // hands it the node-local phases, which it fans out with per-shard
-  // mirrors of apply_queue_delta folded in shard order.
+  // hands it selection and the loss-apply application, which it fans out
+  // with per-shard mirrors of apply_queue_delta folded in shard order.
   friend class ParallelStepEngine;
 
   /// The single funnel for queue mutations: updates the queue and the
@@ -303,10 +303,8 @@ class Simulator {
   /// Debug-only full-scan cross-check of the incremental counters.
   void audit_counters() const;
 
-  // Phase helpers of step(), the one step skeleton of both engines.  The
-  // shard engine calls only phase_rng and sink_extraction from its
-  // fan-outs.  All of them assume they are called in pipeline order
-  // within one step.
+  // Phase helpers of step(), the one step skeleton of both engines.  All
+  // of them assume they are called in pipeline order within one step.
 
   /// The Rng owning the addressed stream of (this step, phase, node).
   [[nodiscard]] Rng phase_rng(StepPhase phase,
@@ -326,12 +324,11 @@ class Simulator {
   /// before any packets() call, so stateful/adversarial processes stay
   /// bitwise engine-independent.
   void arrival_begin_step();
-  /// Phase 2, serial form (also taken under sharding when admission
-  /// control or the arrival process forces ordered calls).  Visits every
-  /// source, or — when the arrival process publishes a sparse
-  /// active-source set — only the active and surging sources.
-  void phase_injection_serial(StepStats& stats, obs::Telemetry* tel,
-                              const graph::EdgeMask* active_mask);
+  /// Phase 2, for both engines.  Visits every source, or — when the
+  /// arrival process publishes a sparse active-source set — only the
+  /// active and surging sources.
+  void phase_injection(StepStats& stats, obs::Telemetry* tel,
+                       const graph::EdgeMask* active_mask);
   /// Phase 3: declarations; returns the view (may alias queue_) and adds
   /// the per-node evaluations performed to `work`.
   std::span<const PacketCount> phase_declarations(std::uint64_t& work);
@@ -339,11 +336,6 @@ class Simulator {
   void record_churn_flight_events(obs::Telemetry* tel);
   /// Phase 7 tail: per-transmission flight-recorder events.
   void record_tx_flight_events(obs::Telemetry* tel);
-  /// Phase 8 for sink `v`: the packets it extracts this step —
-  /// min{out(d), q_t(d)} on the configured basis, a snapshot basis clamped
-  /// to what the queue holds now — or nullopt when it is down or in an
-  /// outage, in which case its queue is not touched at all.
-  [[nodiscard]] std::optional<PacketCount> sink_extraction(NodeId v) const;
   /// Common step tail: cumulative stats, counter audit, telemetry sample,
   /// observer callback, step counter.
   void step_epilogue(StepStats& stats, obs::Telemetry* tel,

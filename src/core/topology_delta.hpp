@@ -1,14 +1,13 @@
 // The per-step churn summary handed from the fault injector to everyone
-// downstream (admission control, telemetry, shard-plan repair).
+// downstream (admission control, telemetry).
 //
 // Churn events (core/faults.hpp: edge_add/edge_remove/node_join/node_leave/
 // nudge) mutate the live topology and rate declarations at the top of a
 // step.  The injector records exactly what changed into a TopologyDelta so
 // consumers can react in O(|delta|) instead of re-deriving the mutation by
 // diffing full snapshots: the admission governor patches its warm-started
-// feasibility certificate per entry, the simulator emits one flight event
-// per entry, and the shard engine repairs its role lists once per non-empty
-// delta.
+// feasibility certificate per entry, and the simulator emits one flight
+// event per entry.
 #pragma once
 
 #include <vector>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -188,19 +187,6 @@ void Telemetry::save_state(std::ostream& os) const {
 }
 
 void Telemetry::load_state(std::istream& is) {
-  // The parts below apply as they parse, so a rejected blob rolls the
-  // whole session back to what it was.
-  std::stringstream backup(std::ios::in | std::ios::out | std::ios::binary);
-  save_state(backup);
-  try {
-    apply_state(is);
-  } catch (...) {
-    apply_state(backup);
-    throw;
-  }
-}
-
-void Telemetry::apply_state(std::istream& is) {
   sequence_ = binio::read_u64(is);
   registry_.load_state(is);
   drift_.load_state(is);

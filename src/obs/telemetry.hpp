@@ -172,14 +172,14 @@ class Telemetry {
   /// drift, the flight ring, and the hotspot sketches with their pending
   /// window.  load_state requires an identically configured session (same
   /// metrics registered, same flight capacity, same hotspot k) and throws
-  /// std::runtime_error otherwise, leaving the session unchanged.
+  /// std::runtime_error otherwise.  The parts apply as they parse, so a
+  /// rejected blob may leave the session partly loaded;
+  /// Simulator::restore_checkpoint rolls the whole simulator back.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
  private:
   void emit_snapshot(const StepSample& sample);
-  /// load_state's parse-and-apply, without the rollback.
-  void apply_state(std::istream& is);
 
   TelemetryOptions options_;
   MetricRegistry registry_;

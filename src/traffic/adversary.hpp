@@ -14,10 +14,10 @@
 // The adversary is *adaptive*: each step it reads the live simulator
 // state (ArrivalContext — source list, queue snapshot, addressed RNG) in
 // its serial begin_step hook, picks this step's targets, and precomputes
-// their dump counts.  packets() is then a read-only lookup, so the
-// process is parallel_safe; and because only targeted sources can inject,
-// it publishes a sparse active-source set — on a 10⁶-source topology the
-// injection phase visits O(targets) nodes, not O(sources).
+// their dump counts.  packets() is then a read-only lookup; and because
+// only targeted sources can inject, it publishes a sparse active-source
+// set — on a 10⁶-source topology the injection phase visits O(targets)
+// nodes, not O(sources).
 //
 // Strategies:
 //   * hoard-and-dump  — sit silent for period−1 steps, then dump the full
@@ -83,8 +83,6 @@ class AdversarialArrival final : public core::ArrivalProcess {
   explicit AdversarialArrival(AdversaryOptions options);
 
   [[nodiscard]] std::string_view name() const override { return "adversary"; }
-  /// packets() only reads the begin_step-precomputed dump table.
-  [[nodiscard]] bool parallel_safe() const override { return true; }
 
   void begin_step(const core::ArrivalContext& ctx) override;
   [[nodiscard]] const std::vector<NodeId>* active_sources() const override {

@@ -244,6 +244,7 @@ TEST(FaultInjector, StateRoundTripsThroughSaveLoad) {
   std::stringstream blob;
   a.save_state(blob);
   FaultInjector b(schedule, 0);  // different seed: state must come from blob
+  b.size_to(net);
   b.load_state(blob);
 
   // Both injectors now evolve identically.

@@ -13,14 +13,17 @@
 // meaning: a checkpoint with a valid CRC whose sketch monitors one node
 // twice, or a node the network does not have, is rejected too, and so is
 // a pending snapshot window with a node the network does not have, nodes
-// out of ascending order, or more entries than nodes.  A rejected restore
-// leaves the telemetry session as it was.
+// out of ascending order, or more entries than nodes.  So is fault-injector
+// state naming a node or edge outside the network, or a negative parked
+// spec.  A rejected restore leaves the simulator exactly as it was.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lgg.hpp"
 
@@ -201,13 +204,56 @@ TEST(CheckpointFuzz, HotspotSketchKeyBeyondTheNetworkIsRejected) {
   }
 }
 
-/// Restores `corrupt` into a hotspot session that has run into a window
-/// of its own and expects a clean rejection, for the reason `why`, that
-/// leaves the session's telemetry state exactly as it was.
+/// FNV-1a digest of `steps` further steps: every step's queues, then the
+/// final checkpoint bytes (which carry the telemetry state).
+std::uint64_t continuation_digest(core::Simulator& sim, TimeStep steps) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (value >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (TimeStep i = 0; i < steps; ++i) {
+    sim.step();
+    for (const PacketCount q : sim.queues()) {
+      mix(static_cast<std::uint64_t>(q));
+    }
+  }
+  std::ostringstream os(std::ios::binary);
+  sim.save_checkpoint(os);
+  for (const char c : os.str()) mix(static_cast<unsigned char>(c));
+  return h;
+}
+
+std::vector<char> mask_bits(const graph::EdgeMask& mask) {
+  std::vector<char> bits;
+  for (EdgeId e = 0; e < mask.size(); ++e) bits.push_back(mask.active(e));
+  return bits;
+}
+
+std::vector<PacketCount> totals_of(const core::CumulativeStats& c) {
+  return {c.injected, c.proposed, c.suppressed, c.conflicted,
+          c.sent,     c.lost,     c.delivered,  c.extracted,
+          c.crash_wiped, c.shed,  c.steps};
+}
+
+/// Restores `corrupt` into a victim built by `make` that has run into a
+/// window of its own, and expects a clean rejection, for the reason `why`,
+/// that leaves the victim exactly as it was: clock, queues, totals, edge
+/// mask and telemetry state, and 20 further steps that match an untouched
+/// twin's.
 void expect_rejected_and_unchanged(const std::string& corrupt,
-                                   const std::string& why) {
-  HotspotSim victim = hotspot_sim();
+                                   const std::string& why,
+                                   HotspotSim (*make)() = hotspot_sim) {
+  HotspotSim victim = make();
   victim.sim->run(kWindow + 3);
+  const TimeStep now = victim.sim->now();
+  const std::vector<PacketCount> queues(victim.sim->queues().begin(),
+                                        victim.sim->queues().end());
+  const std::vector<PacketCount> totals =
+      totals_of(victim.sim->cumulative());
+  const std::vector<char> mask = mask_bits(victim.sim->edge_mask());
   const std::string before = telemetry_bytes(*victim.telemetry);
   std::istringstream is(corrupt, std::ios::binary);
   try {
@@ -216,7 +262,18 @@ void expect_rejected_and_unchanged(const std::string& corrupt,
   } catch (const core::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
   }
+  EXPECT_EQ(victim.sim->now(), now);
+  EXPECT_TRUE(std::equal(queues.begin(), queues.end(),
+                         victim.sim->queues().begin(),
+                         victim.sim->queues().end()));
+  EXPECT_EQ(totals_of(victim.sim->cumulative()), totals);
+  EXPECT_EQ(mask_bits(victim.sim->edge_mask()), mask);
   EXPECT_EQ(telemetry_bytes(*victim.telemetry), before);
+
+  HotspotSim twin = make();
+  twin.sim->run(kWindow + 3);
+  EXPECT_EQ(continuation_digest(*victim.sim, 20),
+            continuation_digest(*twin.sim, 20));
 }
 
 TEST(CheckpointFuzz, ResealedPendingWindowRestores) {
@@ -276,6 +333,131 @@ TEST(CheckpointFuzz, PendingWindowCountAboveTheNodeCountIsRejected) {
     SCOPED_TRACE(count);
     expect_rejected_and_unchanged(with_u64(c.bytes, c.window_at, count),
                                   "entries for");
+  }
+}
+
+/// hotspot_sim() with a fault injector whose checkpoint state has one
+/// entry of each kind: node 1 down (frozen), edge 0 removed and node 2
+/// departed.
+HotspotSim fault_sim() {
+  core::FaultSchedule schedule;
+  schedule.add({core::FaultKind::kCrash, 1, 5, 1000, core::CrashMode::kFreeze,
+                0, 0});
+  core::FaultEvent remove;
+  remove.kind = core::FaultKind::kEdgeRemove;
+  remove.edge = 0;
+  remove.at = 6;
+  schedule.add(remove);
+  core::FaultEvent leave;
+  leave.kind = core::FaultKind::kNodeLeave;
+  leave.node = 2;
+  leave.at = 8;
+  schedule.add(leave);
+  HotspotSim h = hotspot_sim();
+  h.sim->set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
+  return h;
+}
+
+/// A fault checkpoint with the payload offsets of its injector's entries.
+/// The injector blob is a u32 down count, (i64 node, i64 until, u8 now)
+/// entries, the RNG engine as a u32-length string, a u32 removed-edge
+/// count, i64 edge ids, a u32 departed count, then (i64 node, i64 in,
+/// i64 out, i64 retention) entries.
+struct FaultCheckpoint {
+  std::string bytes;
+  std::size_t down_node_at = 0;
+  std::size_t removed_edge_at = 0;
+  std::size_t departed_node_at = 0;
+};
+
+std::uint32_t read_u32(const std::string& bytes, std::size_t at) {
+  std::uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    value |=
+        static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
+        << (8 * i);
+  }
+  return value;
+}
+
+FaultCheckpoint fault_checkpoint() {
+  HotspotSim h = fault_sim();
+  h.sim->run(4 * kWindow + 5);
+  std::ostringstream blob_os(std::ios::binary);
+  h.sim->faults()->save_state(blob_os);
+  const std::string blob = blob_os.str();
+  FaultCheckpoint c;
+  std::ostringstream os(std::ios::binary);
+  h.sim->save_checkpoint(os);
+  c.bytes = os.str();
+  const std::size_t at = c.bytes.find(blob);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(c.bytes.find(blob, at + 1), std::string::npos);
+  EXPECT_EQ(read_u32(blob, 0), 1u);  // one down entry
+  c.down_node_at = at + 4;
+  const std::size_t rng_at = 4 + 17;
+  const std::size_t removed_at = rng_at + 4 + read_u32(blob, rng_at);
+  EXPECT_EQ(read_u32(blob, removed_at), 1u);  // one removed edge
+  c.removed_edge_at = at + removed_at + 4;
+  EXPECT_EQ(read_u32(blob, removed_at + 12), 1u);  // one departed node
+  c.departed_node_at = at + removed_at + 16;
+  EXPECT_EQ(read_u64(c.bytes, c.down_node_at), 1u);
+  EXPECT_EQ(read_u64(c.bytes, c.removed_edge_at), 0u);
+  EXPECT_EQ(read_u64(c.bytes, c.departed_node_at), 2u);
+  return c;
+}
+
+TEST(CheckpointFuzz, ResealedFaultCheckpointRestores) {
+  const FaultCheckpoint c = fault_checkpoint();
+  const std::string same =
+      with_u64(c.bytes, c.down_node_at, read_u64(c.bytes, c.down_node_at));
+  ASSERT_EQ(same, c.bytes);
+  HotspotSim victim = fault_sim();
+  victim.sim->run(kWindow + 3);
+  std::istringstream is(same, std::ios::binary);
+  ASSERT_NO_THROW(victim.sim->restore_checkpoint(is));
+  std::ostringstream again(std::ios::binary);
+  victim.sim->save_checkpoint(again);
+  EXPECT_EQ(again.str(), c.bytes);
+}
+
+TEST(CheckpointFuzz, FaultNodeOutsideTheNetworkIsRejected) {
+  // 2^32 + 5 once truncated to node 5 when sizing the injector and then
+  // wrote far past its tables.
+  const FaultCheckpoint c = fault_checkpoint();
+  const auto n =
+      static_cast<std::uint64_t>(small_sim()->network().node_count());
+  for (const std::uint64_t node :
+       {n, (std::uint64_t{1} << 32) + 5, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(node);
+    expect_rejected_and_unchanged(with_u64(c.bytes, c.down_node_at, node),
+                                  "outside the network", fault_sim);
+    expect_rejected_and_unchanged(
+        with_u64(c.bytes, c.departed_node_at, node), "outside the network",
+        fault_sim);
+  }
+}
+
+TEST(CheckpointFuzz, FaultEdgeOutsideTheNetworkIsRejected) {
+  const FaultCheckpoint c = fault_checkpoint();
+  const auto m = static_cast<std::uint64_t>(
+      small_sim()->network().topology().edge_count());
+  for (const std::uint64_t edge :
+       {m, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(edge);
+    expect_rejected_and_unchanged(with_u64(c.bytes, c.removed_edge_at, edge),
+                                  "outside the network", fault_sim);
+  }
+}
+
+TEST(CheckpointFuzz, NegativeParkedSpecIsRejected) {
+  const FaultCheckpoint c = fault_checkpoint();
+  for (std::size_t field = 0; field < 3; ++field) {
+    SCOPED_TRACE(field);
+    expect_rejected_and_unchanged(
+        with_u64(c.bytes, c.departed_node_at + 8 + 8 * field,
+                 ~std::uint64_t{0}),
+        "negative parked spec", fault_sim);
   }
 }
 

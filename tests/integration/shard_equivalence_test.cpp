@@ -28,7 +28,7 @@ struct Fixture {
   std::string name;
   core::SdNetwork (*network)();
   void (*configure)(core::Simulator&);
-  bool governed = false;  ///< attach an AdmissionGovernor (serial injection)
+  bool governed = false;  ///< attach an AdmissionGovernor
   /// baselines::make_protocol name; nullptr runs the default LGG.
   const char* protocol = nullptr;
   bool observed = false;  ///< attach a StepObserver and compare its records
@@ -65,9 +65,8 @@ void configure_governed(core::Simulator& sim) {
 }
 
 void configure_stateful_arrival(core::Simulator& sim) {
-  // TokenBucketArrival keeps balances in flat per-node slots presized by
-  // begin_step, so it is parallel_safe: the sharded injection phase may run
-  // it concurrently and must still match the serial trajectory bitwise.
+  // TokenBucketArrival keeps cross-step balances in flat per-node slots;
+  // a sharded run must still match the serial trajectory bitwise.
   sim.set_arrival(std::make_unique<core::TokenBucketArrival>(0.7, 8.0, 3));
   sim.set_loss(std::make_unique<core::PeriodicLoss>(7));
 }
@@ -86,9 +85,8 @@ void configure_diurnal(core::Simulator& sim) {
 }
 
 void configure_adversary(core::Simulator& sim) {
-  // Sparse active-source sets force the engines onto the serial injection
-  // path; queue-aware targeting reads the live queue snapshot, so any
-  // engine skew in that snapshot diverges the byte streams here.
+  // Queue-aware targeting reads the live queue snapshot, so any engine
+  // skew in that snapshot diverges the byte streams here.
   traffic::AdversaryOptions opt;
   opt.strategy = traffic::AdversaryStrategy::kQueueAware;
   opt.rho = 1.2;
