@@ -1,6 +1,8 @@
 #include "baselines/stale_lgg.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/binio.hpp"
 #include "common/require.hpp"
@@ -73,15 +75,37 @@ void StaleLggProtocol::save_state(std::ostream& os) const {
   }
 }
 
+void StaleLggProtocol::size_to(const core::SdNetwork& net) {
+  node_count_ = static_cast<std::uint32_t>(net.node_count());
+}
+
 void StaleLggProtocol::load_state(std::istream& is) {
-  history_.clear();
+  // Every count comes from the blob, so each is checked before anything is
+  // sized from it: selection indexes the oldest snapshot by node id.
   const std::uint32_t depth = binio::read_u32(is);
+  const std::uint64_t max_depth = static_cast<std::uint64_t>(delay_) + 1;
+  if (depth > max_depth) {
+    throw std::runtime_error("stale_lgg: history of " + std::to_string(depth) +
+                             " snapshots exceeds delay + 1 = " +
+                             std::to_string(max_depth));
+  }
+  std::deque<std::vector<PacketCount>> history;
   for (std::uint32_t i = 0; i < depth; ++i) {
     const std::uint32_t n = binio::read_u32(is);
+    if (binio::remaining(is) / sizeof(PacketCount) < n) {
+      throw std::runtime_error("stale_lgg: snapshot of " + std::to_string(n) +
+                               " nodes overruns the blob");
+    }
+    if (n != node_count_) {
+      throw std::runtime_error("stale_lgg: snapshot of " + std::to_string(n) +
+                               " nodes, network has " +
+                               std::to_string(node_count_));
+    }
     std::vector<PacketCount> snapshot(n);
     for (std::uint32_t v = 0; v < n; ++v) snapshot[v] = binio::read_i64(is);
-    history_.push_back(std::move(snapshot));
+    history.push_back(std::move(snapshot));
   }
+  history_ = std::move(history);
 }
 
 }  // namespace lgg::baselines

@@ -23,9 +23,13 @@ class StaleLggProtocol final : public core::RoutingProtocol {
                             std::vector<core::Transmission>& out) override;
 
   void reset() override { history_.clear(); }
+  void size_to(const core::SdNetwork& net) override;
 
   // The declaration history is the protocol's memory; without it a resumed
-  // run would compare against the wrong (empty) past.
+  // run would compare against the wrong (empty) past.  load_state throws
+  // std::runtime_error on a history deeper than delay + 1 or a snapshot
+  // whose length is not the sized node count, before sizing anything from
+  // the blob.
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
@@ -33,6 +37,7 @@ class StaleLggProtocol final : public core::RoutingProtocol {
   int delay_;
   core::TieBreak tie_break_;
   std::deque<std::vector<PacketCount>> history_;  // declared snapshots
+  std::uint32_t node_count_ = 0;                  // set by size_to
   core::LggProtocol by_id_{core::TieBreak::kById};  // kById selection
   std::vector<graph::IncidentLink> scratch_;        // kRandomShuffle only
 };

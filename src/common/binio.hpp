@@ -96,4 +96,23 @@ inline std::string read_string(std::istream& is, std::size_t max_size = 1u << 30
   return s;
 }
 
+/// Bytes left in `is` when it is seekable, else UINT64_MAX.  Lets a reader
+/// reject a count the stream cannot hold before it sizes anything from it.
+inline std::uint64_t remaining(std::istream& is) {
+  constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) {
+    is.clear();
+    return kUnknown;
+  }
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1)) {
+    is.clear();
+    return kUnknown;
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace lgg::binio

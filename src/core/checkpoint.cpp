@@ -184,18 +184,9 @@ void Simulator::restore_checkpoint(std::istream& is) {
   // A bit-flipped size field would otherwise drive a multi-GiB allocation
   // below before the truncation check can fire.  When the stream is
   // seekable, bound `size` by the bytes actually present first.
-  const std::istream::pos_type here = is.tellg();
-  if (here != std::istream::pos_type(-1)) {
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (end != std::istream::pos_type(-1) &&
-        static_cast<std::uint64_t>(end - here) < size) {
-      fail("truncated payload (" + std::to_string(end - here) + " of " +
-           std::to_string(size) + " bytes)");
-    }
-  } else {
-    is.clear();
+  if (const std::uint64_t left = binio::remaining(is); left < size) {
+    fail("truncated payload (" + std::to_string(left) + " of " +
+         std::to_string(size) + " bytes)");
   }
   std::string payload(static_cast<std::size_t>(size), '\0');
   is.read(payload.data(), static_cast<std::streamsize>(size));

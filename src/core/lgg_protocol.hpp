@@ -20,6 +20,11 @@
 // neighbour id, edge id) for kById; for kRandomShuffle, a shuffle of u's
 // active links in insertion order, then a stable sort by declared queue.
 //
+// Only downhill links carry a packet, so under truthful declarations LGG
+// never proposes both directions of one link: downhill_only() is true and
+// the simulator skips link-conflict resolution for it (DESIGN.md §5,
+// decision 4).
+//
 // Selection is local by construction (each node needs only its own queue
 // and its neighbours' declarations), and the randomized tie-break draws
 // from the node's addressed stream (StepView::draw_seed), so the shard
@@ -51,6 +56,8 @@ class LggProtocol final : public RoutingProtocol {
                             std::vector<Transmission>& out) override;
 
   [[nodiscard]] bool local_selection() const override { return true; }
+  /// Algorithm 1 sends u→v only when declared(v) < q(u).
+  [[nodiscard]] bool downhill_only() const override { return true; }
   std::uint64_t select_for_nodes(const StepView& view,
                                  std::span<const NodeId> nodes,
                                  std::vector<Transmission>& out) override;

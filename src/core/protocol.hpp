@@ -3,7 +3,8 @@
 // A protocol sees the step-start snapshot (true queues for its own node,
 // *declared* queues for neighbours — R-generalized nodes may lie, Def. 7)
 // and proposes a set of single-packet transmissions.  The simulator then
-// applies interference scheduling, link-conflict resolution, losses, and
+// applies interference scheduling, link-conflict resolution (skipped for a
+// downhill_only() protocol under truthful declarations), losses, and
 // extraction.
 #pragma once
 
@@ -37,6 +38,8 @@ struct Transmission {
 struct StepView {
   const SdNetwork* net = nullptr;
   const graph::CsrIncidence* incidence = nullptr;
+  /// Null when every link is active (the simulator passes null whenever
+  /// its routed mask is all-up); every reader must treat null that way.
   const graph::EdgeMask* active = nullptr;
   std::span<const PacketCount> queue;     ///< true queue lengths q_t
   std::span<const PacketCount> declared;  ///< declared queue lengths q'_t
@@ -71,6 +74,15 @@ class RoutingProtocol {
   /// selected serially on the merged view.
   [[nodiscard]] virtual bool local_selection() const { return false; }
 
+  /// True when every proposal u→v has declared(v) < q(u): the protocol
+  /// only ever sends strictly downhill.  Under truthful declarations no
+  /// link can then carry proposals in both directions (that would need
+  /// q(u) > q(v) and q(v) > q(u)), so the simulator skips link-conflict
+  /// resolution for it whenever the declarations are the true queues.
+  /// Debug builds still run the resolver there and assert that it drops
+  /// nothing.  Default: false (no claim).
+  [[nodiscard]] virtual bool downhill_only() const { return false; }
+
   /// Selection restricted to `nodes` (ascending node ids).  Appends the
   /// transmissions of exactly those senders to `out`, grouped per node in
   /// the order given, and returns the number of active nodes (nodes that
@@ -91,6 +103,11 @@ class RoutingProtocol {
 
   /// Drops protocol-internal caches (called when the simulator is reset).
   virtual void reset() {}
+
+  /// Sizes per-node state to `net` (the Simulator calls it once, at
+  /// construction); load_state rejects state sized for another network.
+  /// Default: nothing to size.
+  virtual void size_to(const SdNetwork&) {}
 
   /// Registers protocol-specific metrics (obs/registry.hpp) when telemetry
   /// is attached.  Handles must be null-guarded: a protocol runs without a

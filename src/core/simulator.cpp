@@ -22,6 +22,7 @@ Simulator::Simulator(SdNetwork net, SimulatorOptions options,
       queue_(static_cast<std::size_t>(net_.node_count()), 0),
       declared_(static_cast<std::size_t>(net_.node_count()), 0) {
   net_.validate();
+  protocol_->size_to(net_);
 }
 
 Simulator::~Simulator() = default;
@@ -186,6 +187,67 @@ std::size_t resolve_link_conflicts(std::span<const Transmission> txs,
     ++dropped;
   }
   return dropped;
+}
+
+template <bool kArmed>
+std::uint64_t Simulator::apply_kept(StepStats& stats) {
+  // Every kept transmission removes a packet from the sender; only un-lost
+  // ones arrive.  A lost packet leaves the network at the sender, so its
+  // decrement is a kLoss contribution; a delivered packet's sender and
+  // receiver are both kForwarding.  This is apply_queue_delta per packet
+  // with the shared counters kept in locals: the queue is reached through
+  // a local pointer and Σq², sent, lost and delivered are summed here and
+  // written once at the end, so no store to the queue forces them back to
+  // memory.  Armed, drift is still recorded per mutation in list order.
+  const Transmission* const txs = txs_.data();
+  const char* const keep = keep_.data();
+  const char* const lost = lost_.data();
+  PacketCount* const queue = queue_.data();
+  obs::DriftAttributor* const drift = drift_;
+  const std::size_t count = txs_.size();
+  detail::QuadAccum sum_sq_delta = 0;
+  PacketCount sent = 0;
+  PacketCount dropped = 0;
+  const auto flush = [&] {
+    sum_sq_ += sum_sq_delta;
+    sum_q_ -= dropped;  // a delivery moves a packet, a loss removes one
+    stats.sent += sent;
+    stats.lost += dropped;
+    stats.delivered += sent - dropped;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!keep[i]) continue;
+    const Transmission& tx = txs[i];
+    PacketCount& from = queue[static_cast<std::size_t>(tx.from)];
+    if (from <= 0) {
+      flush();  // the counters stay true to the queues when this throws
+      LGG_REQUIRE(from > 0, "transmission from an empty queue");
+    }
+    const detail::QuadAccum dp_from = detail::square_delta(from, -1);
+    if constexpr (kArmed) {
+      drift->record(tx.from,
+                    lost[i] ? obs::DriftCause::kLoss
+                            : obs::DriftCause::kForwarding,
+                    static_cast<std::uint64_t>(dp_from));
+    }
+    sum_sq_delta += dp_from;
+    --from;
+    ++sent;
+    if (lost[i]) {
+      ++dropped;
+      continue;
+    }
+    PacketCount& to = queue[static_cast<std::size_t>(tx.to)];
+    const detail::QuadAccum dp_to = detail::square_delta(to, 1);
+    if constexpr (kArmed) {
+      drift->record(tx.to, obs::DriftCause::kForwarding,
+                    static_cast<std::uint64_t>(dp_to));
+    }
+    sum_sq_delta += dp_to;
+    ++to;
+  }
+  flush();
+  return static_cast<std::uint64_t>(sent);
 }
 
 obs::Telemetry* Simulator::arm_telemetry() {
@@ -546,7 +608,12 @@ StepStats Simulator::step() {
       phase_declarations(declaration_work);
   lap(StepPhase::kDeclaration, declaration_work);
 
-  const StepView view{&net_,      &incidence_,   active_mask,
+  // Protocols, schedulers and loss models read a null mask as "every link
+  // up", which spares selection one mask read per neighbour; admission
+  // control above got the mask itself.
+  const graph::EdgeMask* const routed =
+      active_mask->all_active() ? nullptr : active_mask;
+  const StepView view{&net_,      &incidence_,   routed,
                       queue_,     declared_view, t_,
                       topology_version_, options_.seed};
 
@@ -578,10 +645,21 @@ StepStats Simulator::step() {
 
   // 6. Link-conflict resolution: when both directions of one link are
   // scheduled, only one can use the link ("each link can transmit at most
-  // 1 packet").  The loser's packet stays in its queue.
+  // 1 packet").  The loser's packet stays in its queue.  A downhill-only
+  // protocol (LGG) reading the true queues cannot propose both directions
+  // of a link, so the scan would drop nothing and is skipped; Debug builds
+  // run it anyway and assert that (DESIGN.md §5, decision 4).
   if (options_.link_conflict == LinkConflictPolicy::kDropLower) {
-    stats.conflicted = static_cast<PacketCount>(
-        resolve_link_conflicts(txs_, queue_, keep_, conflict_scratch_));
+    if (!protocol_->downhill_only() || declared_view.data() != queue_.data()) {
+      stats.conflicted = static_cast<PacketCount>(
+          resolve_link_conflicts(txs_, queue_, keep_, conflict_scratch_));
+    } else {
+#ifndef NDEBUG
+      const std::size_t dropped =
+          resolve_link_conflicts(txs_, queue_, keep_, conflict_scratch_);
+      LGG_ASSERT(dropped == 0);
+#endif
+    }
   }
   lap(StepPhase::kConflict, static_cast<std::uint64_t>(stats.conflicted));
 
@@ -600,27 +678,10 @@ StepStats Simulator::step() {
   std::uint64_t sent = 0;
   if (engine != nullptr) {
     sent = engine->apply(*this);
+  } else if (drift_ != nullptr) {
+    sent = apply_kept<true>(stats);
   } else {
-    for (std::size_t i = 0; i < txs_.size(); ++i) {
-      if (!keep_[i]) continue;
-      const Transmission& tx = txs_[i];
-      LGG_REQUIRE(queue_[static_cast<std::size_t>(tx.from)] > 0,
-                  "transmission from an empty queue");
-      // A lost packet leaves the network at the sender, so its decrement is
-      // a kLoss contribution; a delivered packet's sender/receiver pair are
-      // both kForwarding.
-      apply_queue_delta(
-          tx.from, -1,
-          lost_[i] ? obs::DriftCause::kLoss : obs::DriftCause::kForwarding);
-      ++stats.sent;
-      if (lost_[i]) {
-        ++stats.lost;
-      } else {
-        apply_queue_delta(tx.to, 1, obs::DriftCause::kForwarding);
-        ++stats.delivered;
-      }
-    }
-    sent = static_cast<std::uint64_t>(stats.sent);
+    sent = apply_kept<false>(stats);
   }
   record_tx_flight_events(tel);
   lap(StepPhase::kLossApply, sent, engine != nullptr);

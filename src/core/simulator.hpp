@@ -7,7 +7,8 @@
 //   4. the routing protocol proposes transmissions            (Algorithm 1)
 //   5. the interference scheduler filters them                (Conj. 5)
 //   6. link-conflict resolution (two opposite sends on one link can only be
-//      scheduled when a node lies; the loser counts as a loss)
+//      scheduled when a node lies or the protocol is not downhill-only; the
+//      loser's packet stays queued)
 //   7. transmissions fire: each packet leaves its sender; the loss model
 //      decides which ones arrive
 //   8. sinks extract packets                                  (Def. 7 (i))
@@ -334,6 +335,11 @@ class Simulator {
   std::span<const PacketCount> phase_declarations(std::uint64_t& work);
   /// Phase 1 tail: flight-recorder events for this step's churn mutations.
   void record_churn_flight_events(obs::Telemetry* tel);
+  /// Phase 7, serial engine: applies the kept transmissions, adds sent,
+  /// lost and delivered to `stats` and returns the sent count.  kArmed
+  /// records each mutation's drift (drift_ non-null).
+  template <bool kArmed>
+  std::uint64_t apply_kept(StepStats& stats);
   /// Phase 7 tail: per-transmission flight-recorder events.
   void record_tx_flight_events(obs::Telemetry* tel);
   /// Common step tail: cumulative stats, counter audit, telemetry sample,

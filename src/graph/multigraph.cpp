@@ -63,13 +63,9 @@ CsrIncidence::CsrIncidence(const Multigraph& g) {
   }
 }
 
-EdgeId EdgeMask::active_count() const {
-  return static_cast<EdgeId>(
-      std::count(active_.begin(), active_.end(), 1));
-}
-
 void EdgeMask::set_all(bool on) {
   std::fill(active_.begin(), active_.end(), on ? 1 : 0);
+  inactive_ = on ? 0 : size();
 }
 
 }  // namespace lgg::graph

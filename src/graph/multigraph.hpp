@@ -157,7 +157,10 @@ class CsrIncidence {
 };
 
 /// Per-edge activation overlay for dynamic topologies.  Every edge of the
-/// base graph is active by default.
+/// base graph is active by default.  The mask counts its inactive edges as
+/// they change, so all_active() and active_count() are O(1): the step
+/// hands protocols a null mask when every link is up, and they skip the
+/// per-link reads.
 class EdgeMask {
  public:
   EdgeMask() = default;
@@ -171,16 +174,20 @@ class EdgeMask {
   void set_active(EdgeId e, bool on) {
     LGG_REQUIRE(e >= 0 && e < static_cast<EdgeId>(active_.size()),
                 "EdgeMask: bad edge");
-    active_[static_cast<std::size_t>(e)] = on ? 1 : 0;
+    unsigned char& slot = active_[static_cast<std::size_t>(e)];
+    inactive_ += static_cast<EdgeId>(slot) - static_cast<EdgeId>(on);
+    slot = on ? 1 : 0;
   }
   [[nodiscard]] EdgeId size() const {
     return static_cast<EdgeId>(active_.size());
   }
-  [[nodiscard]] EdgeId active_count() const;
+  [[nodiscard]] EdgeId active_count() const { return size() - inactive_; }
+  [[nodiscard]] bool all_active() const { return inactive_ == 0; }
   void set_all(bool on);
 
  private:
   std::vector<unsigned char> active_;  // not vector<bool>: hot-path reads
+  EdgeId inactive_ = 0;                // edges whose slot is 0
 };
 
 }  // namespace lgg::graph

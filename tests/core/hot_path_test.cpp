@@ -1,15 +1,19 @@
 // Equivalence nets for the hot-path rework: the flat epoch-stamped
 // link-conflict resolver against the original map-based reference, and the
 // incrementally maintained Σq / Σq² counters against a full scan, both on
-// fuzzed multigraph configurations.
+// fuzzed multigraph configurations.  Also the premise of the step's
+// conflict-scan skip: truthful LGG proposals never conflict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/interference.hpp"
 #include "core/profiler.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
@@ -98,6 +102,64 @@ TEST(ResolveLinkConflicts, SurvivesEpochWraparound) {
     EXPECT_EQ(resolve_link_conflicts(txs, queue, keep, scratch), 1u);
     EXPECT_EQ(keep, (std::vector<char>{1, 0}));  // 0→1 drops 5, wins
   }
+}
+
+TEST(ResolveLinkConflicts, TruthfulLggProposalsNeverConflict) {
+  // The premise of the step's conflict-scan skip (DESIGN.md §5, decision
+  // 4): LGG sends u→v only when declared(v) < q(u), so with declared == q
+  // no link carries proposals both ways, and the resolver drops nothing
+  // whatever the tie-break, the edge mask and the interference scheduler.
+  std::vector<std::unique_ptr<Scheduler>> schedulers;
+  schedulers.push_back(std::make_unique<NoInterference>());
+  schedulers.push_back(std::make_unique<GreedyMatchingScheduler>());
+  schedulers.push_back(std::make_unique<ExactMatchingScheduler>());
+  schedulers.push_back(std::make_unique<OracleOrGreedyScheduler>());
+  schedulers.push_back(std::make_unique<Distance2GreedyScheduler>());
+  Rng rng(0xd0a1ULL);
+  LinkConflictScratch scratch;
+  std::size_t proposed = 0;
+  std::size_t kept = 0;
+  for (int round = 0; round < 200; ++round) {
+    const NodeId n = static_cast<NodeId>(rng.uniform_int(2, 12));
+    const SdNetwork net(graph::make_random_multigraph(
+        n, static_cast<EdgeId>(rng.uniform_int(n - 1, 5 * n)),
+        0xa000ULL + static_cast<std::uint64_t>(round)));
+    const graph::CsrIncidence incidence(net.topology());
+    graph::EdgeMask mask(net.topology().edge_count());
+    for (EdgeId e = 0; e < mask.size(); ++e) {
+      if (rng.bernoulli(0.3)) mask.set_active(e, false);
+    }
+    // Small queues, so equal neighbours (ties) are common.
+    std::vector<PacketCount> queue(static_cast<std::size_t>(n));
+    for (auto& q : queue) q = rng.uniform_int(0, 6);
+    StepView view;
+    view.net = &net;
+    view.incidence = &incidence;
+    view.active = rng.bernoulli(0.25) ? nullptr : &mask;
+    view.queue = queue;
+    view.declared = queue;
+    view.t = round;
+    view.draw_seed = derive_seed(0xd0a1ULL, static_cast<std::uint64_t>(round));
+    for (const TieBreak tie_break :
+         {TieBreak::kById, TieBreak::kRandomShuffle}) {
+      LggProtocol lgg(tie_break);
+      std::vector<Transmission> txs;
+      Rng select_rng(static_cast<std::uint64_t>(round));
+      lgg.select_transmissions(view, select_rng, txs);
+      proposed += txs.size();
+      for (const auto& scheduler : schedulers) {
+        std::vector<char> keep(txs.size(), 1);
+        Rng schedule_rng(static_cast<std::uint64_t>(round) + 1);
+        scheduler->schedule(view, txs, schedule_rng, keep);
+        kept += static_cast<std::size_t>(
+            std::count(keep.begin(), keep.end(), 1));
+        EXPECT_EQ(resolve_link_conflicts(txs, queue, keep, scratch), 0u)
+            << "round " << round << ", scheduler " << scheduler->name();
+      }
+    }
+  }
+  EXPECT_GT(proposed, 1000u);  // the property is not vacuous
+  EXPECT_GT(kept, proposed);
 }
 
 // Full-scan reference for the incremental counters.

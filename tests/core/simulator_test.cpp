@@ -179,6 +179,36 @@ TEST(Simulator, LinkConflictSuppressesLoserWithoutLoss) {
   EXPECT_TRUE(sim.conserves_packets());
 }
 
+TEST(Simulator, ByzantineDeclarationsKeepTheConflictScanOnATruthfulRun) {
+  // LGG under truthful declarations never proposes both directions of a
+  // link, so the step skips the conflict scan.  A Byzantine overwrite ends
+  // that guarantee: node 1 holds 5 and declares 0, so node 0 (holding 4
+  // after its injection) sends to it while it sends to node 0, and the
+  // scan must run and resolve the pair.
+  SimulatorOptions options = checked();
+  ASSERT_EQ(options.declaration_policy, DeclarationPolicy::kTruthful);
+  Simulator sim(scenarios::single_path(2, 1, 1), options);
+  FaultEvent byzantine;
+  byzantine.kind = FaultKind::kByzantine;
+  byzantine.node = 1;
+  byzantine.declare = 0;
+  FaultSchedule schedule;
+  schedule.add(byzantine);
+  sim.set_faults(std::make_unique<FaultInjector>(schedule, 1));
+  sim.set_initial_queue(0, 3);
+  sim.set_initial_queue(1, 5);
+  const StepStats stats = sim.step();
+  EXPECT_EQ(stats.proposed, 2);
+  EXPECT_EQ(stats.conflicted, 1);
+  EXPECT_EQ(stats.sent, 1);
+  EXPECT_EQ(stats.lost, 0);
+  // 1→0 realizes the larger true drop (5 − 4 against 4 − 5); the sink
+  // then extracts one.
+  EXPECT_EQ(sim.queues()[0], 5);
+  EXPECT_EQ(sim.queues()[1], 3);
+  EXPECT_TRUE(sim.conserves_packets());
+}
+
 TEST(Simulator, AllowBothPolicyLetsBothDirectionsFire) {
   SdNetwork net(graph::make_path(2));
   net.set_generalized(0, 1, 0, 10);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <vector>
 
 #include "common/require.hpp"
+#include "core/scenarios.hpp"
+#include "core/simulator.hpp"
 
 namespace lgg::graph {
 namespace {
@@ -165,6 +169,90 @@ TEST(EdgeMask, SetAllFlipsEverything) {
   EXPECT_EQ(mask.active_count(), 0);
   mask.set_all(true);
   EXPECT_EQ(mask.active_count(), 5);
+}
+
+// all_active() and active_count() read a count the mask maintains as it
+// changes; after every kind of mutation both must agree with a full scan.
+void expect_counts_match_scan(const EdgeMask& mask) {
+  EdgeId on = 0;
+  for (EdgeId e = 0; e < mask.size(); ++e) on += mask.active(e) ? 1 : 0;
+  EXPECT_EQ(mask.active_count(), on);
+  EXPECT_EQ(mask.all_active(), on == mask.size());
+}
+
+TEST(EdgeMask, CountsMatchAFullScanAfterEveryMutation) {
+  EdgeMask mask(6);
+  expect_counts_match_scan(mask);
+  EXPECT_TRUE(mask.all_active());
+
+  mask.set_active(2, false);
+  mask.set_active(2, false);  // already off: no second count
+  expect_counts_match_scan(mask);
+  EXPECT_EQ(mask.active_count(), 5);
+
+  mask.set_active(3, true);  // already on
+  expect_counts_match_scan(mask);
+  EXPECT_EQ(mask.active_count(), 5);
+  EXPECT_FALSE(mask.all_active());
+
+  mask.set_active(2, true);
+  expect_counts_match_scan(mask);
+  EXPECT_TRUE(mask.all_active());
+
+  mask.set_all(false);
+  expect_counts_match_scan(mask);
+  EXPECT_EQ(mask.active_count(), 0);
+  mask.set_all(false);
+  expect_counts_match_scan(mask);
+  mask.set_all(true);
+  expect_counts_match_scan(mask);
+  EXPECT_TRUE(mask.all_active());
+
+  // Copies carry the count, and the two masks then count independently.
+  mask.set_active(0, false);
+  EdgeMask copy(2);
+  copy = mask;
+  expect_counts_match_scan(copy);
+  EXPECT_EQ(copy.active_count(), 5);
+  copy.set_active(0, true);
+  expect_counts_match_scan(copy);
+  expect_counts_match_scan(mask);
+  EXPECT_EQ(mask.active_count(), 5);
+
+  const EdgeMask empty;
+  expect_counts_match_scan(empty);
+  EXPECT_TRUE(empty.all_active());
+}
+
+TEST(EdgeMask, CountsSurviveACheckpointRestore) {
+  // A churned run's mask restored into a simulator whose own mask differs
+  // (it has not run) keeps a count that matches its bits.
+  const auto make = [] {
+    auto sim = std::make_unique<core::Simulator>(
+        core::scenarios::grid_single(4, 4));
+    sim->set_dynamics(std::make_unique<core::RandomChurn>(0.3, 0.2));
+    return sim;
+  };
+  auto source = make();
+  source->run(25);
+  ASSERT_FALSE(source->edge_mask().all_active());
+  std::stringstream checkpoint(std::ios::in | std::ios::out |
+                               std::ios::binary);
+  source->save_checkpoint(checkpoint);
+
+  auto restored = make();
+  ASSERT_TRUE(restored->edge_mask().all_active());
+  restored->restore_checkpoint(checkpoint);
+  expect_counts_match_scan(restored->edge_mask());
+  EXPECT_EQ(restored->edge_mask().active_count(),
+            source->edge_mask().active_count());
+
+  // And it keeps counting: both runs mutate their masks identically.
+  source->run(10);
+  restored->run(10);
+  expect_counts_match_scan(restored->edge_mask());
+  EXPECT_EQ(restored->edge_mask().active_count(),
+            source->edge_mask().active_count());
 }
 
 TEST(EdgeMask, OutOfRangeRejected) {

@@ -15,7 +15,9 @@
 // a pending snapshot window with a node the network does not have, nodes
 // out of ascending order, or more entries than nodes.  So is fault-injector
 // state naming a node or edge outside the network, or a negative parked
-// spec.  A rejected restore leaves the simulator exactly as it was.
+// spec, and a stale-LGG history deeper than its delay allows or with a
+// snapshot whose length is not the node count.  A rejected restore leaves
+// the simulator exactly as it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,12 +32,14 @@
 namespace lgg {
 namespace {
 
-std::unique_ptr<core::Simulator> small_sim() {
+std::unique_ptr<core::Simulator> small_sim(
+    std::unique_ptr<core::RoutingProtocol> protocol =
+        baselines::make_protocol("lgg")) {
   core::SimulatorOptions options;
   options.seed = 0xF00D;
   auto sim = std::make_unique<core::Simulator>(
       core::scenarios::barbell_bottleneck(2, 1, 2), options,
-      baselines::make_protocol("lgg"));
+      std::move(protocol));
   sim->set_arrival(std::make_unique<core::BernoulliArrival>(0.7));
   sim->set_loss(std::make_unique<core::BernoulliLoss>(0.05));
   return sim;
@@ -90,14 +94,16 @@ struct HotspotSim {
   std::unique_ptr<core::Simulator> sim;
 };
 
-HotspotSim hotspot_sim() {
+HotspotSim with_hotspots(std::unique_ptr<core::Simulator> sim) {
   obs::TelemetryOptions topts;
   topts.snapshot_every = kWindow;
   topts.hotspot_k = 4;
-  HotspotSim h{std::make_unique<obs::Telemetry>(topts), small_sim()};
+  HotspotSim h{std::make_unique<obs::Telemetry>(topts), std::move(sim)};
   h.sim->set_telemetry(h.telemetry.get());
   return h;
 }
+
+HotspotSim hotspot_sim() { return with_hotspots(small_sim()); }
 
 std::string telemetry_bytes(const obs::Telemetry& telemetry) {
   std::ostringstream os(std::ios::binary);
@@ -105,11 +111,13 @@ std::string telemetry_bytes(const obs::Telemetry& telemetry) {
   return os.str();
 }
 
-/// Overwrites the u64 at `at` and re-seals the payload CRC.
-std::string with_u64(std::string bytes, std::size_t at, std::uint64_t value) {
+/// Overwrites the `width`-byte little-endian integer at `at` and re-seals
+/// the payload CRC.
+std::string with_uint(std::string bytes, std::size_t at, std::uint64_t value,
+                      int width) {
   constexpr std::size_t kCrcAt = sizeof(core::kCheckpointMagic) + 4 + 8;
   constexpr std::size_t kPayloadAt = kCrcAt + 4;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < width; ++i) {
     bytes[at + i] = static_cast<char>(value >> (8 * i));
   }
   const std::uint32_t crc = core::crc32(bytes.data() + kPayloadAt,
@@ -118,6 +126,10 @@ std::string with_u64(std::string bytes, std::size_t at, std::uint64_t value) {
     bytes[kCrcAt + i] = static_cast<char>(crc >> (8 * i));
   }
   return bytes;
+}
+
+std::string with_u64(std::string bytes, std::size_t at, std::uint64_t value) {
+  return with_uint(std::move(bytes), at, value, 8);
 }
 
 std::uint64_t read_u64(const std::string& bytes, std::size_t at) {
@@ -458,6 +470,94 @@ TEST(CheckpointFuzz, NegativeParkedSpecIsRejected) {
         with_u64(c.bytes, c.departed_node_at + 8 + 8 * field,
                  ~std::uint64_t{0}),
         "negative parked spec", fault_sim);
+  }
+}
+
+/// hotspot_sim() routing with stale LGG, whose checkpoint blob is its
+/// declaration history: a u32 depth, then per snapshot a u32 length and
+/// that many i64 declarations.
+constexpr int kStaleDelay = 2;
+HotspotSim stale_sim() {
+  return with_hotspots(
+      small_sim(std::make_unique<baselines::StaleLggProtocol>(kStaleDelay)));
+}
+
+/// A stale-LGG checkpoint with the payload offset of its protocol blob and
+/// the node count every snapshot must have.
+struct StaleCheckpoint {
+  std::string bytes;
+  std::size_t blob_at = 0;
+  std::uint32_t nodes = 0;
+
+  /// Offset of snapshot k's u32 length.
+  [[nodiscard]] std::size_t length_at(std::uint32_t k) const {
+    return blob_at + 4 + k * (4 + 8 * static_cast<std::size_t>(nodes));
+  }
+};
+
+StaleCheckpoint stale_checkpoint() {
+  HotspotSim h = stale_sim();
+  h.sim->run(4 * kWindow + 5);
+  std::ostringstream blob_os(std::ios::binary);
+  h.sim->protocol().save_state(blob_os);
+  const std::string blob = blob_os.str();
+  StaleCheckpoint c;
+  std::ostringstream os(std::ios::binary);
+  h.sim->save_checkpoint(os);
+  c.bytes = os.str();
+  c.blob_at = c.bytes.find(blob);
+  EXPECT_NE(c.blob_at, std::string::npos);
+  EXPECT_EQ(c.bytes.find(blob, c.blob_at + 1), std::string::npos);
+  c.nodes = static_cast<std::uint32_t>(h.sim->network().node_count());
+  EXPECT_EQ(read_u32(blob, 0), std::uint32_t{kStaleDelay + 1});
+  EXPECT_EQ(blob.size(), c.length_at(kStaleDelay + 1) - c.blob_at);
+  return c;
+}
+
+TEST(CheckpointFuzz, ResealedStaleHistoryRestores) {
+  const StaleCheckpoint c = stale_checkpoint();
+  const std::size_t at = c.length_at(kStaleDelay);
+  const std::string same = with_uint(c.bytes, at, read_u32(c.bytes, at), 4);
+  ASSERT_EQ(same, c.bytes);
+  HotspotSim victim = stale_sim();
+  victim.sim->run(kWindow + 3);
+  std::istringstream is(same, std::ios::binary);
+  ASSERT_NO_THROW(victim.sim->restore_checkpoint(is));
+  std::ostringstream again(std::ios::binary);
+  victim.sim->save_checkpoint(again);
+  EXPECT_EQ(again.str(), c.bytes);
+}
+
+TEST(CheckpointFuzz, StaleSnapshotShorterThanTheNetworkIsRejected) {
+  // Shortening the last snapshot leaves its tail unread rather than
+  // misaligning the rest of the blob; selection would then index past it.
+  const StaleCheckpoint c = stale_checkpoint();
+  for (const std::uint32_t k : {0u, std::uint32_t{kStaleDelay}}) {
+    SCOPED_TRACE(k);
+    expect_rejected_and_unchanged(
+        with_uint(c.bytes, c.length_at(k), c.nodes - 1, 4), "network has",
+        stale_sim);
+  }
+}
+
+TEST(CheckpointFuzz, StaleSnapshotLengthBeyondTheBlobIsRejected) {
+  // A length near 2^32 once sized a ~32 GiB vector before any read.
+  const StaleCheckpoint c = stale_checkpoint();
+  for (const std::uint32_t length : {0xFFFFFFFFu, 1u << 31, 1u << 20}) {
+    SCOPED_TRACE(length);
+    expect_rejected_and_unchanged(
+        with_uint(c.bytes, c.length_at(0), length, 4), "overruns the blob",
+        stale_sim);
+  }
+}
+
+TEST(CheckpointFuzz, StaleHistoryDeeperThanTheDelayIsRejected) {
+  const StaleCheckpoint c = stale_checkpoint();
+  for (const std::uint32_t depth :
+       {std::uint32_t{kStaleDelay + 2}, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(depth);
+    expect_rejected_and_unchanged(with_uint(c.bytes, c.blob_at, depth, 4),
+                                  "exceeds delay + 1", stale_sim);
   }
 }
 
