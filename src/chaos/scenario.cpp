@@ -500,8 +500,9 @@ ScenarioConfig ScenarioGenerator::next() {
       churn.add(nudge);
     }
     c.churn_events = std::move(churn);
-    // A slice of the churn family runs sharded: churn is exactly where the
-    // incremental ShardPlan repair must stay bitwise-faithful to serial.
+    // A slice of the churn family runs sharded: churn mutates the topology
+    // under a ShardPlan built from the base graph, and the sharded run must
+    // stay bitwise-faithful to serial.
     if (rng_.bernoulli(0.3)) c.shards = 2;
   }
 

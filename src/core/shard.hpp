@@ -1,13 +1,9 @@
 // The static node-ownership plan behind the shard engine.
 //
-// A ShardPlan fixes, for one network and one shard count K, which shard
-// owns each node and the ascending node list each shard iterates,
-// preserving the serial engine's visit order within a shard.  Ownership
-// is exclusive: only the owner shard ever mutates a node's queue, which
-// is what lets the apply phase run shard-parallel without locks — a shard
-// scans the full transmission list in order and applies exactly the
-// mutations of its own nodes, so each node sees its mutations in
-// precisely the serial order.
+// A ShardPlan fixes, for one network and one shard count K, the ascending
+// node list each shard selects for, preserving the serial engine's visit
+// order within a shard.  The lists are disjoint and cover every node, so
+// the shards' proposal lists merge back into the serial proposal order.
 //
 // The plan derives deterministically from (base graph, K) via the BFS
 // edge-cut partitioner (graph/partition.hpp).  It holds no trajectory
@@ -28,12 +24,7 @@ struct ShardPlan {
   };
 
   std::uint32_t shard_count = 0;
-  std::vector<std::uint32_t> owner;        ///< node -> owning shard
-  std::vector<std::uint32_t> local_index;  ///< node -> index in owner's nodes
   std::vector<Shard> shards;
-  /// Edges whose endpoints live in different shards — each one is a
-  /// potential cross-shard transmission the apply phase exchanges.
-  std::size_t boundary_edges = 0;
 };
 
 /// Builds the plan for `net` with `shard_count` shards (>= 1).  Shard node

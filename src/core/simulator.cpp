@@ -29,7 +29,7 @@ Simulator::~Simulator() = default;
 
 void Simulator::enable_sharding(std::uint32_t shards, std::size_t threads) {
   LGG_REQUIRE(shards >= 1, "enable_sharding: shards >= 1");
-  engine_ = std::make_unique<ParallelStepEngine>(*this, shards, threads);
+  engine_ = std::make_unique<ParallelStepEngine>(net_, shards, threads);
 }
 
 void Simulator::disable_sharding() { engine_.reset(); }
@@ -87,7 +87,7 @@ void Simulator::set_telemetry(obs::Telemetry* telemetry) {
 void Simulator::set_profiler(StepProfiler* profiler) {
   profiler_ = profiler;
   // Lane 0 is the main thread's; the shard engine grows the set to one
-  // lane per shard at the top of its step.
+  // lane per shard before its selection fan-out.
   if (profiler_ != nullptr) profiler_->ensure_lanes(1);
 }
 
@@ -571,14 +571,9 @@ void Simulator::step_epilogue(StepStats& stats, obs::Telemetry* tel,
 StepStats Simulator::step() {
   StepStats stats;
   obs::Telemetry* const tel = arm_telemetry();
-  // Non-null while sharding is enabled: selection and the loss-apply
-  // application fan out over its shards; every other part of the step
-  // runs here, once, for both engines.
-  ParallelStepEngine* const engine = engine_.get();
-  if (engine != nullptr) engine->begin_step(*this);
 
   // Phase timing: two clock reads per phase when a profiler is attached,
-  // one null test per phase otherwise.  A sharded phase closes with the
+  // one null test per phase otherwise.  A sharded selection closes with the
   // main thread's fan-out→join wall; its CPU time comes from the shards.
   StepProfiler* const prof = profiler_;
   if (prof != nullptr) prof->begin_step(static_cast<std::uint64_t>(t_));
@@ -618,12 +613,13 @@ StepStats Simulator::step() {
                       topology_version_, options_.seed};
 
   // 4. Protocol proposes transmissions.  Locally selecting protocols (LGG)
-  // draw only addressed streams, so the shard engine can select per shard;
-  // baselines draw from the phase-global stream and select here.
+  // draw only addressed streams, so the shard engine, when enabled, selects
+  // per shard; it is the step's only fan-out.  Baselines draw from the
+  // phase-global stream and select here.
   txs_.clear();
-  const bool shard_select = engine != nullptr && protocol_->local_selection();
+  const bool shard_select = engine_ != nullptr && protocol_->local_selection();
   if (shard_select) {
-    engine->select(*this, view);
+    engine_->select(view, *protocol_, txs_, prof);
   } else {
     Rng rng = phase_rng(StepPhase::kSelection);
     protocol_->select_transmissions(view, rng, txs_);
@@ -664,8 +660,9 @@ StepStats Simulator::step() {
   lap(StepPhase::kConflict, static_cast<std::uint64_t>(stats.conflicted));
 
   // 7. Losses + application.  Every kept transmission removes a packet from
-  // the sender; only un-lost ones arrive.  Loss models may hold state, so
-  // marking never fans out; the application does.
+  // the sender; only un-lost ones arrive.  Both run here for both engines:
+  // loss models may hold state, and the application is one pass over the
+  // kept list that keeps Σq, Σq² and drift in one accumulator.
   if (options_.extraction_basis == ExtractionBasis::kSnapshot ||
       observer_ != nullptr) {
     snapshot_ = queue_;  // step-start (post-injection) queue for step 8
@@ -675,16 +672,10 @@ StepStats Simulator::step() {
     Rng rng = phase_rng(StepPhase::kLossApply);
     loss_->mark_losses(view, txs_, rng, lost_);
   }
-  std::uint64_t sent = 0;
-  if (engine != nullptr) {
-    sent = engine->apply(*this);
-  } else if (drift_ != nullptr) {
-    sent = apply_kept<true>(stats);
-  } else {
-    sent = apply_kept<false>(stats);
-  }
+  const std::uint64_t sent =
+      drift_ != nullptr ? apply_kept<true>(stats) : apply_kept<false>(stats);
   record_tx_flight_events(tel);
-  lap(StepPhase::kLossApply, sent, engine != nullptr);
+  lap(StepPhase::kLossApply, sent);
 
   // 8. Extraction — only sink nodes (out > 0) can extract; down or outaged
   // sinks behave as out(d) = 0 this step and their queues are not touched.
@@ -712,7 +703,6 @@ StepStats Simulator::step() {
   lap(StepPhase::kExtraction, static_cast<std::uint64_t>(stats.extracted));
   if (prof != nullptr) prof->finish_step();
 
-  if (engine != nullptr) engine->fold(*this, stats);
   step_epilogue(stats, tel, declared_view);
   return stats;
 }

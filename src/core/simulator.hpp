@@ -144,9 +144,11 @@ class Simulator {
   ~Simulator();
 
   /// Switches step() to the graph-partitioned shard engine: nodes are
-  /// split into `shards` balanced regions (graph/partition.hpp) and the
-  /// selection and loss-apply phases run shard-parallel on an internal
-  /// thread pool (`threads` == 0 picks min(shards, hardware)).
+  /// split into `shards` balanced regions (graph/partition.hpp) and
+  /// selection runs shard-parallel on an internal thread pool (`threads`
+  /// == 0 picks min(shards, hardware)) for protocols that select locally
+  /// (RoutingProtocol::local_selection); every other phase runs as in the
+  /// serial engine.
   /// The trajectory — queues, stats, drift attribution, telemetry bytes,
   /// checkpoint bytes — is bitwise identical to the serial engine for
   /// every (shards, threads) choice.  May be called between steps; the
@@ -189,11 +191,11 @@ class Simulator {
 
   /// Attaches a per-phase profiler (core/profiler.hpp): wall and CPU time
   /// plus work counters for the 8 step phases and, when the profiler keeps
-  /// span rings, one span per phase — per shard when the shard engine runs
-  /// — exportable as a Chrome trace.  Not owned; pass nullptr to detach.
-  /// Costs two clock reads per phase while attached, one null test per
-  /// phase when detached.  Timing reads clocks only, so attaching a
-  /// profiler never perturbs the trajectory or the telemetry bytes.
+  /// span rings, one span per phase plus one per shard body of a sharded
+  /// selection — exportable as a Chrome trace.  Not owned; pass nullptr
+  /// to detach.  Costs two clock reads per phase while attached, one null
+  /// test per phase when detached.  Timing reads clocks only, so attaching
+  /// a profiler never perturbs the trajectory or the telemetry bytes.
   void set_profiler(StepProfiler* profiler);
 
   /// Attaches a telemetry session (obs/telemetry.hpp): metric registry,
@@ -268,11 +270,6 @@ class Simulator {
   void restore_checkpoint(std::istream& is);
 
  private:
-  // The shard engine is the only other writer of simulator state: step()
-  // hands it selection and the loss-apply application, which it fans out
-  // with per-shard mirrors of apply_queue_delta folded in shard order.
-  friend class ParallelStepEngine;
-
   /// The single funnel for queue mutations: updates the queue and the
   /// running Σq / Σq² so total_packets()/network_state() stay O(1).  When
   /// drift attribution is live (telemetry armed), the mutation's exact ΔP
@@ -335,7 +332,7 @@ class Simulator {
   std::span<const PacketCount> phase_declarations(std::uint64_t& work);
   /// Phase 1 tail: flight-recorder events for this step's churn mutations.
   void record_churn_flight_events(obs::Telemetry* tel);
-  /// Phase 7, serial engine: applies the kept transmissions, adds sent,
+  /// Phase 7, both engines: applies the kept transmissions, adds sent,
   /// lost and delivered to `stats` and returns the sent count.  kArmed
   /// records each mutation's drift (drift_ non-null).
   template <bool kArmed>

@@ -1,10 +1,11 @@
 // Deterministic edge-cut node partitioning for the shard engine.
 //
 // The shard engine (core/parallel_step.hpp) assigns every node to exactly
-// one of K shards; an edge whose endpoints land in different shards is a
-// *boundary* edge, and transmissions across it are the data the shards
-// must exchange each step.  A good partition therefore minimizes the edge
-// cut while keeping shard sizes balanced — and, because the partition
+// one of K shards and each shard selects for its own nodes; an edge whose
+// endpoints land in different shards is a *boundary* edge, across which a
+// shard reads queue state that another shard's worker reads too.  A good
+// partition therefore minimizes the edge cut while keeping shard sizes
+// balanced — and, because the partition
 // feeds a bitwise-deterministic engine, it must itself be a pure function
 // of (graph, K): no randomized refinement, no iteration-order dependence.
 //
@@ -13,7 +14,7 @@
 // at the lowest unassigned node id (re-seeding within the same shard when
 // a connected component is exhausted).  On meshes and degree-bounded
 // graphs this yields contiguous regions whose cut scales with the region
-// surface, which is what the apply-phase scan cost depends on.
+// surface, not its volume.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,7 @@ std::vector<std::uint32_t> partition_edge_cut(const Multigraph& g,
                                               std::uint32_t parts);
 
 /// Number of edges whose endpoints lie in different shards under `owner`
-/// (parallel edges counted individually, like the engine's exchange cost).
+/// (parallel edges counted individually).
 std::size_t cut_edges(const Multigraph& g,
                       std::span<const std::uint32_t> owner);
 

@@ -151,20 +151,18 @@ TEST(StepProfiler, ZeroCapacityAttachesTotalsWithoutSpans) {
 
 TEST(StepProfiler, ShardedRunRecordsOneSpanPerShardBody) {
   // Lane 0 holds one span per (step, phase); lane s+1 one per sharded
-  // phase body of shard s.  A sharded step makes exactly two fan-outs,
-  // selection and the loss-apply application, so every shard lane holds
-  // two spans per step and no other phase.
+  // phase body of shard s.  A sharded step makes exactly one fan-out,
+  // selection, so every shard lane holds one span per step and no other
+  // phase.
   StepProfiler prof(1024);
   profiled_run(prof, 4);
   ASSERT_EQ(prof.lane_count(), 5u);
   EXPECT_EQ(prof.lane(0).size(), 50u * kStepPhaseCount);
   for (std::size_t lane = 1; lane < 5; ++lane) {
-    EXPECT_EQ(prof.lane(lane).size(), 50u * 2) << lane;
+    EXPECT_EQ(prof.lane(lane).size(), 50u) << lane;
     for (const SpanRecord& span : prof.lane(lane).spans()) {
       EXPECT_EQ(span.shard, lane - 1);
-      EXPECT_TRUE(span.phase == StepPhase::kSelection ||
-                  span.phase == StepPhase::kLossApply)
-          << to_string(span.phase);
+      EXPECT_EQ(span.phase, StepPhase::kSelection) << to_string(span.phase);
     }
   }
   EXPECT_EQ(prof.total_dropped(), 0u);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/protocol_registry.hpp"
@@ -98,9 +99,10 @@ void configure_adversary(core::Simulator& sim) {
 }
 
 /// Scheduled topology churn: every mutation kind fires inside kHorizon, so
-/// the engine's incremental ShardPlan role repair, the churn flight events,
-/// and the v5 spec section all land in the bitwise comparison.  Random
-/// crashes ride along to exercise the overlay + down-window interplay.
+/// sharded selection over a plan built from the base graph, the churn
+/// flight events, and the v5 spec section all land in the bitwise
+/// comparison.  Random crashes ride along to exercise the overlay +
+/// down-window interplay.
 core::FaultSchedule churn_schedule(const core::SdNetwork& net) {
   const NodeId source = net.sources().front();
   const NodeId sink = net.sinks().back();
@@ -458,6 +460,58 @@ TEST(ShardEquivalence, ResumeUnderDifferentCliSeedAdoptsSavedSeed) {
   resumed.run(40);
   EXPECT_TRUE(std::equal(first.queues().begin(), first.queues().end(),
                          resumed.queues().begin()));
+}
+
+/// Proposes one transmission across `edge` from an endpoint whose queue is
+/// empty, breaking the at-most-queue[u]-sends contract.
+class EmptySenderProtocol final : public core::RoutingProtocol {
+ public:
+  explicit EmptySenderProtocol(EdgeId edge) : edge_(edge) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "empty-sender";
+  }
+  void select_transmissions(const core::StepView& view, Rng&,
+                            std::vector<core::Transmission>& out) override {
+    const auto ends = view.net->topology().endpoints(edge_);
+    const bool from_v = view.queue[static_cast<std::size_t>(ends.v)] == 0;
+    out.push_back({edge_, from_v ? ends.v : ends.u, from_v ? ends.u : ends.v});
+  }
+
+ private:
+  EdgeId edge_;
+};
+
+TEST(ShardEquivalence, ContractBreachLeavesCountersTrueToQueues) {
+  // A send from an empty queue throws from the loss-apply pass.  On every
+  // engine the throw must leave total_packets() and network_state() equal
+  // to a full scan of the queues, and the queues equal to the serial
+  // engine's: no packet may arrive for a send that never left.
+  const core::SdNetwork net = core::scenarios::single_path(6);
+  for (EdgeId e = 0; e < net.topology().edge_count(); ++e) {
+    std::vector<PacketCount> serial_queues;
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("edge=" + std::to_string(e) +
+                   " shards=" + std::to_string(shards));
+      core::Simulator sim(net, {}, std::make_unique<EmptySenderProtocol>(e));
+      if (shards > 1) sim.enable_sharding(shards, 2);
+      EXPECT_THROW(sim.step(), ContractViolation);
+      PacketCount sum = 0;
+      double sum_sq = 0;
+      for (const PacketCount q : sim.queues()) {
+        sum += q;
+        sum_sq += static_cast<double>(q) * static_cast<double>(q);
+      }
+      EXPECT_EQ(sim.total_packets(), sum);
+      EXPECT_EQ(sim.network_state(), sum_sq);
+      const std::vector<PacketCount> queues(sim.queues().begin(),
+                                            sim.queues().end());
+      if (shards == 1) {
+        serial_queues = queues;
+      } else {
+        EXPECT_EQ(queues, serial_queues);
+      }
+    }
+  }
 }
 
 TEST(ShardEquivalence, OldCheckpointVersionRejectedByName) {
