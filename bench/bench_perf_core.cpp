@@ -6,7 +6,10 @@
 // is machine-trackable across commits.
 #include "support/bench_common.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "flow/max_flow.hpp"
@@ -62,34 +65,95 @@ double measure_sharded_seconds(NodeId side, std::size_t threads,
   return wall.seconds();
 }
 
-/// steps/sec of a 5000-step run with span tracing in one of its cost
+/// One copy of the sparse-source run with span tracing in one of its cost
 /// states: detached (the zero-cost claim — the hot path is one pointer
 /// test per lap site), or a profiler keeping span rings attached,
 /// with/without hotspot analytics riding the same run (the <= 2%
-/// attached-overhead budget from the observability plane).
-double measure_observed_steps_per_second(bool traced, std::size_t hotspot_k,
-                                         DiscardSink* sink) {
-  const NodeId n = 1024;
-  core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
-      core::SimulatorOptions{});
-  core::StepProfiler tracer(std::size_t{1} << 14);
-  if (traced) sim.set_profiler(&tracer);
-  obs::Telemetry telemetry([&] {
-    obs::TelemetryOptions topts;
-    topts.snapshot_every = 100;
-    topts.hotspot_k = hotspot_k;
-    return topts;
-  }());
-  if (hotspot_k > 0) {
-    telemetry.set_sink(sink);
-    sim.set_telemetry(&telemetry);
+/// attached-overhead budget from the observability plane).  Every state
+/// runs the same trajectory, so equal step counts are equal work.
+struct ObservedRun {
+  ObservedRun(bool traced, std::size_t hotspot_k, DiscardSink* sink)
+      : sim(core::scenarios::random_unsaturated(1024, 4096, 2, 2, 5),
+            core::SimulatorOptions{}),
+        tracer(std::size_t{1} << 14),
+        telemetry([&] {
+          obs::TelemetryOptions topts;
+          topts.snapshot_every = 100;
+          topts.hotspot_k = hotspot_k;
+          return topts;
+        }()) {
+    if (traced) sim.set_profiler(&tracer);
+    if (hotspot_k > 0) {
+      telemetry.set_sink(sink);
+      sim.set_telemetry(&telemetry);
+    }
   }
-  const TimeStep steps = 5000;
-  analysis::Stopwatch wall;
-  sim.run(steps);
-  return static_cast<double>(steps) / wall.seconds();
+
+  core::Simulator sim;
+  core::StepProfiler tracer;
+  obs::Telemetry telemetry;
+};
+
+/// Span-tracing overhead as a median of paired ratios.  The three cost
+/// states run in lockstep, kChunk steps at a time in alternating order,
+/// until each has run >= kMinSeconds: that is one round, and its overhead
+/// is a time ratio over equal work.  Fine interleaving cancels the
+/// machine's drift, which whole-run best-of-N timings read as overhead,
+/// and the median over kRounds rounds drops the outliers.
+struct TraceOverhead {
+  static constexpr int kRounds = 9;
+  static constexpr double kMinSeconds = 0.5;
+  static constexpr TimeStep kChunk = 100;
+  double detached_sps = 0.0;  ///< median over rounds
+  double attached_sps = 0.0;
+  double hotspots_sps = 0.0;
+  std::vector<double> attached_pct;  ///< per round, in run order
+  std::vector<double> hotspots_pct;
+  double attached_median_pct = 0.0;
+  double hotspots_median_pct = 0.0;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+TraceOverhead measure_trace_overhead() {
+  DiscardSink hotspot_sink;
+  ObservedRun detached(false, 0, nullptr);
+  ObservedRun attached(true, 0, nullptr);
+  ObservedRun hotspots(true, 8, &hotspot_sink);
+  ObservedRun* const runs[3] = {&detached, &attached, &hotspots};
+  TraceOverhead r;
+  std::vector<double> sps[3];
+  for (int round = 0; round < TraceOverhead::kRounds; ++round) {
+    double seconds[3] = {0.0, 0.0, 0.0};
+    TimeStep steps = 0;
+    for (bool forward = true;
+         std::min({seconds[0], seconds[1], seconds[2]}) <
+         TraceOverhead::kMinSeconds;
+         forward = !forward) {
+      for (int k = 0; k < 3; ++k) {
+        const int state = forward ? k : 2 - k;
+        analysis::Stopwatch wall;
+        runs[state]->sim.run(TraceOverhead::kChunk);
+        seconds[state] += wall.seconds();
+      }
+      steps += TraceOverhead::kChunk;
+    }
+    for (int state = 0; state < 3; ++state) {
+      sps[state].push_back(static_cast<double>(steps) / seconds[state]);
+    }
+    r.attached_pct.push_back(100.0 * (seconds[1] / seconds[0] - 1.0));
+    r.hotspots_pct.push_back(100.0 * (seconds[2] / seconds[0] - 1.0));
+  }
+  r.detached_sps = median(sps[0]);
+  r.attached_sps = median(sps[1]);
+  r.hotspots_sps = median(sps[2]);
+  r.attached_median_pct = median(r.attached_pct);
+  r.hotspots_median_pct = median(r.hotspots_pct);
+  return r;
 }
 
 /// nodes × threads node-steps/second curve of the shard engine, with each
@@ -198,33 +262,23 @@ void print_report() {
   // Span-tracing cost states on the same topology.  Detached must sit in
   // the noise (the lap sites test one pointer each); attached — even with
   // hotspot analytics riding the same run — has a 2% overhead budget.
-  // Best-of-3 on each side smooths scheduler noise before gating.
-  const auto best_of_3 = [](auto&& measure) {
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) best = std::max(best, measure());
-    return best;
-  };
-  const double untraced_sps = best_of_3(
-      [] { return measure_observed_steps_per_second(false, 0, nullptr); });
-  const double traced_sps = best_of_3(
-      [] { return measure_observed_steps_per_second(true, 0, nullptr); });
-  DiscardSink hotspot_sink;
-  const double traced_hotspots_sps = best_of_3([&hotspot_sink] {
-    return measure_observed_steps_per_second(true, 8, &hotspot_sink);
-  });
-  const double traced_overhead_pct =
-      100.0 * (untraced_sps / traced_sps - 1.0);
-  const double traced_hotspots_overhead_pct =
-      100.0 * (untraced_sps / traced_hotspots_sps - 1.0);
-  std::printf("span-tracing overhead (5000 steps, best of 3):\n");
-  std::printf("  tracer detached            %.6g steps/sec\n", untraced_sps);
+  const TraceOverhead trace = measure_trace_overhead();
+  std::printf("span-tracing overhead (%d rounds of >= %.1f s per state, "
+              "lockstep %lld-step chunks, median of paired ratios):\n",
+              TraceOverhead::kRounds, TraceOverhead::kMinSeconds,
+              static_cast<long long>(TraceOverhead::kChunk));
+  std::printf("  tracer detached            %.6g steps/sec\n",
+              trace.detached_sps);
   std::printf("  tracer attached            %.6g steps/sec (%+.2f%%)\n",
-              traced_sps, traced_overhead_pct);
+              trace.attached_sps, trace.attached_median_pct);
   std::printf("  tracer + hotspots attached %.6g steps/sec (%+.2f%%)\n",
-              traced_hotspots_sps, traced_hotspots_overhead_pct);
+              trace.hotspots_sps, trace.hotspots_median_pct);
+  std::printf("  attached per round:");
+  for (const double pct : trace.attached_pct) std::printf(" %+.1f%%", pct);
+  std::printf("\n");
   std::printf("BENCH trace_overhead_gate attached=%.2f%% budget=2.00%% %s\n\n",
-              traced_overhead_pct,
-              traced_overhead_pct <= 2.0 ? "PASS" : "FAIL");
+              trace.attached_median_pct,
+              trace.attached_median_pct <= 2.0 ? "PASS" : "FAIL");
 
   // Shard-engine scaling: node-steps/second over nodes × threads
   // (threads = 0 is the serial engine; each sharded row uses K = threads
@@ -267,12 +321,13 @@ void print_report() {
                static_cast<std::uint64_t>(discard.bytes()));
     json.end_object();
     json.begin_object("trace_overhead");
-    json.field("detached_steps_per_second", untraced_sps);
-    json.field("attached_steps_per_second", traced_sps);
-    json.field("attached_overhead_pct", traced_overhead_pct);
-    json.field("attached_hotspots_steps_per_second", traced_hotspots_sps);
-    json.field("attached_hotspots_overhead_pct",
-               traced_hotspots_overhead_pct);
+    json.field("detached_steps_per_second", trace.detached_sps);
+    json.field("attached_steps_per_second", trace.attached_sps);
+    json.field("attached_overhead_pct", trace.attached_median_pct);
+    json.field("attached_hotspots_steps_per_second", trace.hotspots_sps);
+    json.field("attached_hotspots_overhead_pct", trace.hotspots_median_pct);
+    json.field("rounds", static_cast<std::int64_t>(TraceOverhead::kRounds));
+    json.field("min_seconds_per_state", TraceOverhead::kMinSeconds);
     json.field("budget_pct", 2.0);
     json.end_object();
     json.begin_array("shard_scaling");

@@ -31,26 +31,29 @@ std::vector<std::size_t> by_weight_desc(const StepView& view,
 
 }  // namespace
 
-void GreedyMatchingScheduler::schedule(const StepView& view,
-                                       std::span<const Transmission> txs,
-                                       Rng&, std::vector<char>& keep) {
+std::size_t GreedyMatchingScheduler::schedule(
+    const StepView& view, std::span<const Transmission> txs, Rng&,
+    std::vector<char>& keep) {
   std::vector<char> busy(static_cast<std::size_t>(view.net->node_count()), 0);
+  std::size_t suppressed = 0;
   for (const std::size_t i : by_weight_desc(view, txs)) {
     const Transmission& tx = txs[i];
     if (busy[static_cast<std::size_t>(tx.from)] ||
         busy[static_cast<std::size_t>(tx.to)]) {
       keep[i] = 0;
+      ++suppressed;
     } else {
       busy[static_cast<std::size_t>(tx.from)] = 1;
       busy[static_cast<std::size_t>(tx.to)] = 1;
     }
   }
+  return suppressed;
 }
 
-void ExactMatchingScheduler::schedule(const StepView& view,
-                                      std::span<const Transmission> txs,
-                                      Rng&, std::vector<char>& keep) {
-  if (txs.empty()) return;
+std::size_t ExactMatchingScheduler::schedule(
+    const StepView& view, std::span<const Transmission> txs, Rng&,
+    std::vector<char>& keep) {
+  if (txs.empty()) return 0;
   // Compact the endpoints actually used into a small index space.
   std::map<NodeId, int> index;
   for (const Transmission& tx : txs) {
@@ -117,6 +120,7 @@ void ExactMatchingScheduler::schedule(const StepView& view,
 
   // Recover the optimal matching and suppress everything else.
   std::fill(keep.begin(), keep.end(), 0);
+  std::size_t fired = 0;
   std::uint32_t mask = 0;
   while (mask != (1u << n) - 1) {
     const std::int32_t c = choice[mask];
@@ -127,15 +131,17 @@ void ExactMatchingScheduler::schedule(const StepView& view,
     } else {
       const Candidate& cand = candidates[static_cast<std::size_t>(c)];
       keep[cand.tx_index] = 1;
+      ++fired;
       mask |= cand.nodes;
     }
   }
+  return txs.size() - fired;
 }
 
-void OracleOrGreedyScheduler::schedule(const StepView& view,
-                                       std::span<const Transmission> txs,
-                                       Rng& rng, std::vector<char>& keep) {
-  if (txs.empty()) return;
+std::size_t OracleOrGreedyScheduler::schedule(
+    const StepView& view, std::span<const Transmission> txs, Rng& rng,
+    std::vector<char>& keep) {
+  if (txs.empty()) return 0;
   std::map<NodeId, int> endpoints;
   for (const Transmission& tx : txs) {
     endpoints.emplace(tx.from, 0);
@@ -144,12 +150,11 @@ void OracleOrGreedyScheduler::schedule(const StepView& view,
   if (static_cast<NodeId>(endpoints.size()) <= kExactMatchingMaxNodes) {
     ++exact_steps_;
     if (exact_counter_ != nullptr) exact_counter_->add(1);
-    exact_.schedule(view, txs, rng, keep);
-  } else {
-    ++greedy_steps_;
-    if (greedy_counter_ != nullptr) greedy_counter_->add(1);
-    greedy_.schedule(view, txs, rng, keep);
+    return exact_.schedule(view, txs, rng, keep);
   }
+  ++greedy_steps_;
+  if (greedy_counter_ != nullptr) greedy_counter_->add(1);
+  return greedy_.schedule(view, txs, rng, keep);
 }
 
 void OracleOrGreedyScheduler::register_metrics(obs::MetricRegistry& registry) {
@@ -157,9 +162,9 @@ void OracleOrGreedyScheduler::register_metrics(obs::MetricRegistry& registry) {
   greedy_counter_ = &registry.counter("scheduler.greedy_steps");
 }
 
-void Distance2GreedyScheduler::schedule(const StepView& view,
-                                        std::span<const Transmission> txs,
-                                        Rng&, std::vector<char>& keep) {
+std::size_t Distance2GreedyScheduler::schedule(
+    const StepView& view, std::span<const Transmission> txs, Rng&,
+    std::vector<char>& keep) {
   // blocked[v]: v or one of its neighbours already participates.
   std::vector<char> busy(static_cast<std::size_t>(view.net->node_count()), 0);
   std::vector<char> near_busy(busy.size(), 0);
@@ -171,16 +176,19 @@ void Distance2GreedyScheduler::schedule(const StepView& view,
       near_busy[static_cast<std::size_t>(l.neighbor)] = 1;
     }
   };
+  std::size_t suppressed = 0;
   for (const std::size_t i : by_weight_desc(view, txs)) {
     const Transmission& tx = txs[i];
     if (near_busy[static_cast<std::size_t>(tx.from)] ||
         near_busy[static_cast<std::size_t>(tx.to)]) {
       keep[i] = 0;
+      ++suppressed;
     } else {
       occupy(tx.from);
       occupy(tx.to);
     }
   }
+  return suppressed;
 }
 
 bool is_matching(std::span<const Transmission> txs,

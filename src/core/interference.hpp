@@ -31,11 +31,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Sets keep[i] = 0 for every transmission suppressed by interference.
-  /// `keep` arrives all-1 with size txs.size().
-  virtual void schedule(const StepView& view,
-                        std::span<const Transmission> txs, Rng& rng,
-                        std::vector<char>& keep) = 0;
+  /// Sets keep[i] = 0 for every transmission suppressed by interference
+  /// and returns how many it suppressed.  `keep` arrives all-1 with size
+  /// txs.size().
+  virtual std::size_t schedule(const StepView& view,
+                               std::span<const Transmission> txs, Rng& rng,
+                               std::vector<char>& keep) = 0;
 
   /// Checkpoint hooks (core/checkpoint.hpp).  All shipped schedulers are
   /// trajectory-stateless (OracleOrGreedy's counters are observability
@@ -52,8 +53,10 @@ class Scheduler {
 class NoInterference final : public Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "none"; }
-  void schedule(const StepView&, std::span<const Transmission>, Rng&,
-                std::vector<char>&) override {}
+  std::size_t schedule(const StepView&, std::span<const Transmission>, Rng&,
+                       std::vector<char>&) override {
+    return 0;
+  }
 };
 
 /// Gradient weight of a transmission: q(from) − q'(to), the potential drop
@@ -69,8 +72,9 @@ class GreedyMatchingScheduler final : public Scheduler {
   [[nodiscard]] std::string_view name() const override {
     return "greedy_matching";
   }
-  void schedule(const StepView& view, std::span<const Transmission> txs,
-                Rng& rng, std::vector<char>& keep) override;
+  std::size_t schedule(const StepView& view,
+                       std::span<const Transmission> txs, Rng& rng,
+                       std::vector<char>& keep) override;
 };
 
 inline constexpr NodeId kExactMatchingMaxNodes = 20;
@@ -83,8 +87,9 @@ class ExactMatchingScheduler final : public Scheduler {
   [[nodiscard]] std::string_view name() const override {
     return "oracle_matching";
   }
-  void schedule(const StepView& view, std::span<const Transmission> txs,
-                Rng& rng, std::vector<char>& keep) override;
+  std::size_t schedule(const StepView& view,
+                       std::span<const Transmission> txs, Rng& rng,
+                       std::vector<char>& keep) override;
 };
 
 /// The practical oracle: exact max-weight matching when the step's
@@ -95,8 +100,9 @@ class OracleOrGreedyScheduler final : public Scheduler {
   [[nodiscard]] std::string_view name() const override {
     return "oracle_or_greedy";
   }
-  void schedule(const StepView& view, std::span<const Transmission> txs,
-                Rng& rng, std::vector<char>& keep) override;
+  std::size_t schedule(const StepView& view,
+                       std::span<const Transmission> txs, Rng& rng,
+                       std::vector<char>& keep) override;
 
   /// Steps resolved exactly / greedily so far (observability for benches).
   [[nodiscard]] std::int64_t exact_steps() const { return exact_steps_; }
@@ -123,8 +129,9 @@ class Distance2GreedyScheduler final : public Scheduler {
   [[nodiscard]] std::string_view name() const override {
     return "greedy_distance2";
   }
-  void schedule(const StepView& view, std::span<const Transmission> txs,
-                Rng& rng, std::vector<char>& keep) override;
+  std::size_t schedule(const StepView& view,
+                       std::span<const Transmission> txs, Rng& rng,
+                       std::vector<char>& keep) override;
 };
 
 /// Checks the node-exclusive (matching) property of a kept set — used by

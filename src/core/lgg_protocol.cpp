@@ -1,6 +1,12 @@
 #include "core/lgg_protocol.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <compare>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "core/profiler.hpp"
 #include "obs/registry.hpp"
@@ -9,17 +15,157 @@ namespace lgg::core {
 
 namespace {
 
-/// An active downhill link of the node being selected: the far end's
-/// declared queue and the link's position in the scanned list.
-struct Candidate {
-  PacketCount declared;
-  std::uint32_t rank;
+// Sort keys.  The filter scan turns each active downhill link of the node
+// being selected into one key that packs the far end's declared queue
+// above the link's rank, its position in the node's list.  Ranks are
+// unique per node, so keys are unique and ascending key order is the
+// contract's (declared, rank) order: any correct sort reproduces it.
+
+/// The narrow key: declared << 32 | rank.  It holds every kept link of a
+/// node with q(u) ≤ 2^32 whose neighbours all declare ≥ 0, since the kept
+/// declarations then lie in [0, 2^32).  The scan ORs every declaration
+/// into `seen_`, so a negative one shows as the sign bit and the node is
+/// redone with WideKeys.
+class NarrowKeys {
+ public:
+  using Key = std::uint64_t;
+  static constexpr PacketCount kMaxQueue = PacketCount{1} << 32;
+
+  Key pack(PacketCount declared, std::uint32_t rank) {
+    seen_ |= declared;
+    return static_cast<std::uint64_t>(declared) << 32 | rank;
+  }
+  [[nodiscard]] bool fits() const { return seen_ >= 0; }
+  static std::uint32_t rank(Key key) { return static_cast<std::uint32_t>(key); }
+
+ private:
+  PacketCount seen_ = 0;
 };
 
+/// The wide key: the whole declaration (sign bit flipped, so unsigned
+/// order is signed order) above the rank.  It holds any declaration a
+/// StepView can carry: negative ones, and q(u) > 2^32 with a neighbour far
+/// below.
+class WideKeys {
+ public:
+  struct Key {
+    std::uint64_t declared;
+    std::uint64_t rank;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
+  Key pack(PacketCount declared, std::uint32_t rank) {
+    return {static_cast<std::uint64_t>(declared) ^ (std::uint64_t{1} << 63),
+            rank};
+  }
+  [[nodiscard]] static bool fits() { return true; }
+  static std::uint32_t rank(Key key) {
+    return static_cast<std::uint32_t>(key.rank);
+  }
+};
+
+// Sorting networks.  Batcher's odd-even merge sort on N = 2^k inputs
+// (1, 5, 19 and 63 comparators for N = 2, 4, 8, 16), pruned to exactly D
+// inputs: padding keys D..N−1 with +∞ would make every comparator that
+// touches them a no-op, so dropping those comparators sorts D keys
+// unpadded (D = 5..8 keep 9, 12, 16, 19; D = 9..16 keep 28 to 63).
+struct Comparator {
+  std::uint8_t lo;
+  std::uint8_t hi;
+};
+
+template <std::size_t N, class Emit>
+constexpr void batcher_pairs(Emit emit) {
+  for (std::size_t p = 1; p < N; p *= 2) {
+    for (std::size_t k = p; k > 0; k /= 2) {
+      for (std::size_t j = k % p; j + k < N; j += 2 * k) {
+        for (std::size_t i = 0; i < k && i + j + k < N; ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            emit(i + j, i + j + k);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <std::size_t D>
+constexpr std::size_t network_size() {
+  std::size_t count = 0;
+  batcher_pairs<std::bit_ceil(D)>(
+      [&](std::size_t, std::size_t hi) { count += hi < D; });
+  return count;
+}
+
+template <std::size_t D>
+constexpr auto make_network() {
+  std::array<Comparator, network_size<D>()> net{};
+  std::size_t c = 0;
+  batcher_pairs<std::bit_ceil(D)>([&](std::size_t lo, std::size_t hi) {
+    if (hi < D) {
+      net[c++] = {static_cast<std::uint8_t>(lo), static_cast<std::uint8_t>(hi)};
+    }
+  });
+  return net;
+}
+
+template <std::size_t D>
+inline constexpr auto kNetwork = make_network<D>();
+
+static_assert(kNetwork<4>.size() == 5);
+static_assert(kNetwork<8>.size() == 19);
+static_assert(kNetwork<16>.size() == 63);
+
+/// Compiles to two conditional moves on integer keys: no branch to
+/// mispredict on random keys.  (The std::min/std::max form of this swap
+/// was miscompiled by GCC 12.2's SLP vectorizer at -O3 on a 2-key
+/// network.)
+template <class Key>
+inline void compare_swap(Key& a, Key& b) {
+  const Key x = a;
+  const Key y = b;
+  const bool swap = y < x;
+  a = swap ? y : x;
+  b = swap ? x : y;
+}
+
+/// Sorts k[0, D), every comparator unrolled at compile time.
+template <std::size_t D, class Key, std::size_t... I>
+void run_network([[maybe_unused]] Key* k, std::index_sequence<I...>) {
+  (compare_swap(k[kNetwork<D>[I].lo], k[kNetwork<D>[I].hi]), ...);
+}
+
+template <std::size_t D, class Key>
+void network_sort(Key* k) {
+  run_network<D>(k, std::make_index_sequence<kNetwork<D>.size()>{});
+}
+
+template <class Key, std::size_t... D>
+constexpr auto make_sorters(std::index_sequence<D...>) {
+  return std::array<void (*)(Key*), sizeof...(D)>{&network_sort<D, Key>...};
+}
+
+/// kSorters<Key>[D] sorts D keys, for D = 0..16.
+template <class Key>
+inline constexpr auto kSorters =
+    make_sorters<Key>(std::make_index_sequence<17>{});
+
+/// Sorts k[0, d): one network per D up to 16, std::sort for hubs.  Wide
+/// keys are rare, so they skip the networks, which would only add code.
+template <class Key>
+void sort_keys(Key* k, std::size_t d) {
+  if constexpr (std::is_same_v<Key, std::uint64_t>) {
+    if (d < kSorters<Key>.size()) return kSorters<Key>[d](k);
+  }
+  std::sort(k, k + d);
+}
+
 struct Scratch {
-  std::vector<Candidate> downhill;
-  std::vector<Candidate> merged;              ///< sort_by_declared buffer
+  /// Key buffers, one per key width.
+  std::tuple<std::vector<NarrowKeys::Key>, std::vector<WideKeys::Key>> keys;
   std::vector<graph::IncidentLink> shuffled;  ///< kRandomShuffle only
+  std::vector<NodeId> shuffled_nbrs;          ///< `shuffled`, split
+  std::vector<EdgeId> shuffled_edges;
 };
 
 /// Shards select concurrently, so each thread owns its scratch.  It stops
@@ -30,41 +176,38 @@ Scratch& thread_scratch() {
   return scratch;
 }
 
-/// Stable sort of scratch.downhill[0, d) by declared queue alone.
-/// Candidates arrive in rank order, so stability yields the (declared, rank)
-/// order with one compare per step.  Runs of 16 are insertion-sorted in
-/// place (a whole node, at typical degrees), then merged pairwise through
-/// scratch.merged: O(D log D) even for a hub whose every link is downhill,
-/// and allocation-free once grown.
-void sort_by_declared(Scratch& scratch, std::size_t d) {
-  constexpr std::size_t kRun = 16;
-  const auto by_declared = [](const Candidate& a, const Candidate& b) {
-    return a.declared < b.declared;
-  };
-  Candidate* const c = scratch.downhill.data();
-  for (std::size_t lo = 0; lo < d; lo += kRun) {
-    const std::size_t hi = std::min(lo + kRun, d);
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      const Candidate x = c[i];
-      std::size_t j = i;
-      for (; j > lo && by_declared(x, c[j - 1]); --j) c[j] = c[j - 1];
-      c[j] = x;
-    }
+/// Filter, sort and emit for one node over its list (nbrs[i], edges[i]):
+/// keep the active downhill links as keys, sort the D keys and serve the
+/// lowest min(q(u), D).  Returns false, having emitted nothing, when a kept
+/// declaration does not fit the key.
+template <class Keys>
+bool serve_downhill(const StepView& view, NodeId u, PacketCount qu,
+                    std::span<const NodeId> nbrs, std::span<const EdgeId> edges,
+                    const graph::EdgeMask* mask, Scratch& scratch,
+                    std::vector<Transmission>& out) {
+  auto& buf = std::get<std::vector<typename Keys::Key>>(scratch.keys);
+  if (buf.size() < nbrs.size()) buf.resize(nbrs.size());
+  typename Keys::Key* const k = buf.data();
+  Keys keys;
+  // Each slot is written unconditionally and kept by advancing `d`, so the
+  // scan carries no data-dependent branch.
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const PacketCount q = view.declared[static_cast<std::size_t>(nbrs[i])];
+    k[d] = keys.pack(q, static_cast<std::uint32_t>(i));
+    d += static_cast<std::size_t>(q < qu) &
+         static_cast<std::size_t>(mask == nullptr || mask->active(edges[i]));
   }
-  if (d <= kRun) return;
-  if (scratch.merged.size() < d) scratch.merged.resize(d);
-  Candidate* src = c;
-  Candidate* dst = scratch.merged.data();
-  for (std::size_t width = kRun; width < d; width *= 2) {
-    for (std::size_t lo = 0; lo < d; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, d);
-      const std::size_t hi = std::min(lo + 2 * width, d);
-      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo,
-                 by_declared);
-    }
-    std::swap(src, dst);
+  if (!keys.fits()) return false;
+
+  sort_keys(k, d);
+  const std::size_t sent =
+      std::min(d, static_cast<std::size_t>(static_cast<std::uint64_t>(qu)));
+  for (std::size_t j = 0; j < sent; ++j) {
+    const std::size_t r = Keys::rank(k[j]);
+    out.push_back(Transmission{edges[r], u, nbrs[r]});
   }
-  if (src != c) std::copy(src, src + d, c);
+  return true;
 }
 
 /// One node's selection into `out`.  Returns 1 when the node was active
@@ -74,27 +217,10 @@ std::uint64_t select_node(TieBreak tie_break, const StepView& view, NodeId u,
   // u compares its own true queue against the neighbours' declarations.
   const PacketCount qu = view.queue[static_cast<std::size_t>(u)];
   if (qu <= 0) return 0;
-  const graph::EdgeMask* const mask = view.active;
-  const std::span<const NodeId> nbrs = view.incidence->ordered_neighbors(u);
-  const std::span<const EdgeId> edges = view.incidence->ordered_edges(u);
-  if (scratch.downhill.size() < nbrs.size()) {
-    scratch.downhill.resize(nbrs.size());
-  }
-  Candidate* const c = scratch.downhill.data();
-
-  // Filter: keep the active downhill links of u's list, in list order.
-  // Each slot is written unconditionally and kept by advancing `d`, so the
-  // scan carries no data-dependent branch.
-  std::size_t d = 0;
-  if (tie_break == TieBreak::kById) {
-    // The list is the neighbour-ordered CSR arrays.
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const PacketCount q = view.declared[static_cast<std::size_t>(nbrs[i])];
-      c[d] = {q, static_cast<std::uint32_t>(i)};
-      d += static_cast<std::size_t>(q < qu) &
-           static_cast<std::size_t>(mask == nullptr || mask->active(edges[i]));
-    }
-  } else {
+  const graph::EdgeMask* mask = view.active;
+  std::span<const NodeId> nbrs = view.incidence->ordered_neighbors(u);
+  std::span<const EdgeId> edges = view.incidence->ordered_edges(u);
+  if (tie_break == TieBreak::kRandomShuffle) {
     // The list is a shuffle of every active link in insertion order.  It
     // draws from u's addressed stream, never a shared one, so the
     // tie-break is identical whether u is visited serially or from a shard.
@@ -109,24 +235,22 @@ std::uint64_t select_node(TieBreak tie_break, const StepView& view, NodeId u,
                        static_cast<std::uint64_t>(u));
     std::shuffle(scratch.shuffled.begin(), scratch.shuffled.end(),
                  rng.engine());
-    for (std::size_t i = 0; i < scratch.shuffled.size(); ++i) {
-      const PacketCount q = view.declared[static_cast<std::size_t>(
-          scratch.shuffled[i].neighbor)];
-      c[d] = {q, static_cast<std::uint32_t>(i)};
-      d += static_cast<std::size_t>(q < qu);
+    scratch.shuffled_nbrs.clear();
+    scratch.shuffled_edges.clear();
+    for (const graph::IncidentLink& link : scratch.shuffled) {
+      scratch.shuffled_nbrs.push_back(link.neighbor);
+      scratch.shuffled_edges.push_back(link.edge);
     }
+    nbrs = scratch.shuffled_nbrs;
+    edges = scratch.shuffled_edges;
+    mask = nullptr;  // the shuffled list holds active links only
   }
-
-  // Sort only the D downhill links and serve the lowest min(q(u), D).
-  sort_by_declared(scratch, d);
-  const std::size_t sent =
-      std::min(d, static_cast<std::size_t>(static_cast<std::uint64_t>(qu)));
-  for (std::size_t k = 0; k < sent; ++k) {
-    const std::size_t r = c[k].rank;
-    out.push_back(tie_break == TieBreak::kById
-                      ? Transmission{edges[r], u, nbrs[r]}
-                      : Transmission{scratch.shuffled[r].edge, u,
-                                     scratch.shuffled[r].neighbor});
+  // Otherwise the list is the neighbour-ordered CSR arrays, whose rank
+  // order is (neighbour id, edge id).
+  if (qu > NarrowKeys::kMaxQueue ||
+      !serve_downhill<NarrowKeys>(view, u, qu, nbrs, edges, mask, scratch,
+                                  out)) {
+    serve_downhill<WideKeys>(view, u, qu, nbrs, edges, mask, scratch, out);
   }
   return 1;
 }

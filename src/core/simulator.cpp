@@ -223,14 +223,17 @@ std::uint64_t Simulator::apply_kept(StepStats& stats) {
       flush();  // the counters stay true to the queues when this throws
       LGG_REQUIRE(from > 0, "transmission from an empty queue");
     }
-    const detail::QuadAccum dp_from = detail::square_delta(from, -1);
+    // (q−1)² − q² = −(2q−1) and (q+1)² − q² = 2q+1 fit 64 bits for any
+    // 63-bit q, so ΔP needs no multiply: the accumulator adds or subtracts
+    // a 64-bit term, and drift records the same term's low 64 bits.
+    const std::uint64_t down = 2 * static_cast<std::uint64_t>(from) - 1;
     if constexpr (kArmed) {
       drift->record(tx.from,
                     lost[i] ? obs::DriftCause::kLoss
                             : obs::DriftCause::kForwarding,
-                    static_cast<std::uint64_t>(dp_from));
+                    0 - down);
     }
-    sum_sq_delta += dp_from;
+    sum_sq_delta -= down;
     --from;
     ++sent;
     if (lost[i]) {
@@ -238,12 +241,11 @@ std::uint64_t Simulator::apply_kept(StepStats& stats) {
       continue;
     }
     PacketCount& to = queue[static_cast<std::size_t>(tx.to)];
-    const detail::QuadAccum dp_to = detail::square_delta(to, 1);
+    const std::uint64_t up = 2 * static_cast<std::uint64_t>(to) + 1;
     if constexpr (kArmed) {
-      drift->record(tx.to, obs::DriftCause::kForwarding,
-                    static_cast<std::uint64_t>(dp_to));
+      drift->record(tx.to, obs::DriftCause::kForwarding, up);
     }
-    sum_sq_delta += dp_to;
+    sum_sq_delta += up;
     ++to;
   }
   flush();
@@ -633,10 +635,10 @@ StepStats Simulator::step() {
   keep_.assign(txs_.size(), 1);
   {
     Rng rng = phase_rng(StepPhase::kScheduling);
-    scheduler_->schedule(view, txs_, rng, keep_);
+    stats.suppressed =
+        static_cast<PacketCount>(scheduler_->schedule(view, txs_, rng, keep_));
   }
-  stats.suppressed =
-      static_cast<PacketCount>(std::count(keep_.begin(), keep_.end(), 0));
+  LGG_ASSERT(stats.suppressed == std::count(keep_.begin(), keep_.end(), 0));
   lap(StepPhase::kScheduling, static_cast<std::uint64_t>(stats.suppressed));
 
   // 6. Link-conflict resolution: when both directions of one link are

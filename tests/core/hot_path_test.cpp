@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
 #include "graph/generators.hpp"
+#include "obs/telemetry.hpp"
 
 namespace lgg::core {
 namespace {
@@ -243,6 +245,81 @@ TEST(IncrementalCounters, SquareDeltaIsTheDifferenceOfSquares) {
       const auto ud = static_cast<std::uint64_t>(delta);
       EXPECT_EQ(static_cast<std::uint64_t>(dp), ud * (2 * uq + ud));
     }
+  }
+}
+
+detail::QuadAccum exact_square_sum(std::span<const PacketCount> queues) {
+  detail::QuadAccum sum = 0;
+  for (const PacketCount q : queues) sum += detail::square(q);
+  return sum;
+}
+
+TEST(IncrementalCounters, SquareSumStaysExactForQueuesNearTwoToThe62) {
+  // Loss-apply adds ΔP = ±(2q ± 1) as 64-bit terms to the 128-bit Σq².
+  // Two adjacent queues near 2^62 (Σq just below 2^63) send to each other
+  // and to small relays under Bernoulli loss, beside a unit source and
+  // sink; after every step Σq² must
+  // equal a recomputation from the queues, detached and armed (where each
+  // mutation's term is also recorded as drift).  network_state() is a
+  // double, so exactness is checked through a checkpoint restore, which
+  // recomputes Σq² from the queues and rejects a mismatch bit for bit.
+  constexpr PacketCount kBig = PacketCount{1} << 62;
+  graph::Multigraph g(6);
+  for (const auto [a, b] : {std::pair{0, 1}, {0, 1}, {0, 1}, {0, 2}, {1, 2},
+                            {1, 3}, {1, 3}, {2, 4}, {3, 5}, {4, 5}}) {
+    g.add_edge(a, b);
+  }
+  SdNetwork net(std::move(g));
+  net.set_source(5, 1);  // eight steps inject 8 packets: Σq stays < 2^63
+  net.set_sink(4, 1);
+  obs::TelemetryOptions topts;
+  topts.snapshot_every = 2;
+  for (const bool armed : {false, true}) {
+    std::ostringstream stream;
+    obs::OstreamJsonlSink sink(stream);
+    const auto build = [&](obs::Telemetry* telemetry) {
+      SimulatorOptions options;
+      options.seed = 0x62;
+      auto sim = std::make_unique<Simulator>(net, options);
+      sim->set_loss(std::make_unique<BernoulliLoss>(0.3));
+      if (telemetry != nullptr) {
+        telemetry->set_sink(&sink);
+        sim->set_telemetry(telemetry);
+      }
+      return sim;
+    };
+    obs::Telemetry telemetry(topts);
+    const std::unique_ptr<Simulator> sim = build(armed ? &telemetry : nullptr);
+    sim->set_initial_queue(0, kBig + 5);
+    sim->set_initial_queue(1, kBig - 40);
+    PacketCount delivered = 0;
+    PacketCount lost = 0;
+    for (int t = 0; t < 8; ++t) {
+      const detail::QuadAccum before = exact_square_sum(sim->queues());
+      const StepStats stats = sim->step();
+      delivered += stats.delivered;
+      lost += stats.lost;
+      const detail::QuadAccum after = exact_square_sum(sim->queues());
+      EXPECT_EQ(sim->network_state(), static_cast<double>(after))
+          << "armed " << armed << ", step " << t;
+      if (armed) {
+        EXPECT_EQ(static_cast<std::uint64_t>(telemetry.drift().step_drift()),
+                  static_cast<std::uint64_t>(after - before))
+            << "step " << t;
+      }
+      std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
+      sim->save_checkpoint(blob);
+      obs::Telemetry twin_telemetry(topts);
+      const std::unique_ptr<Simulator> twin =
+          build(armed ? &twin_telemetry : nullptr);
+      EXPECT_NO_THROW(twin->restore_checkpoint(blob))
+          << "armed " << armed << ", step " << t;
+    }
+    EXPECT_GE(sim->queues()[0], kBig - 40);  // still near 2^62
+    EXPECT_GE(sim->queues()[1], kBig - 80);
+    EXPECT_GT(delivered, 0);
+    EXPECT_GT(lost, 0);
+    EXPECT_TRUE(sim->conserves_packets());
   }
 }
 

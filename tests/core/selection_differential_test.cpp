@@ -298,5 +298,125 @@ TEST(SelectionDifferential, MatchesFullSortOnHighDegreeStarHub) {
   }
 }
 
+// One hub, node 0, whose list holds exactly `downhill` active links that
+// declare below q(0), `uphill` active links that do not, and `masked`
+// inactive downhill links (their edges are off in the mask, which is then
+// non-null).  Links share a leaf (parallel edges) now and then, so the
+// tie-break's (neighbour, edge) order is exercised; edges are added in a
+// shuffled order.  Leaves hold no packets.
+struct HubCase {
+  PacketCount qu = 1;
+  int downhill = 0;
+  int uphill = 0;
+  int masked = 0;
+  bool negative = false;  ///< one downhill link declares below zero
+};
+
+FuzzedView hub_view(const HubCase& c, Rng& rng) {
+  // Declarations at and around the narrow key's edges: 2^32 − 1, 2^32 and
+  // 2^32 + 1, both absolute and below q(0).
+  constexpr PacketCount k32 = PacketCount{1} << 32;
+  const auto below = [&] {
+    std::vector<PacketCount> pool;
+    for (const PacketCount v : {k32 - 1, k32, k32 + 1, c.qu - (k32 - 1),
+                                c.qu - k32, c.qu - (k32 + 1), c.qu - 1,
+                                PacketCount{0}}) {
+      if (v >= 0 && v < c.qu) pool.push_back(v);
+    }
+    if (!pool.empty() && rng.bernoulli(0.3)) {
+      return pool[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pool.size()) - 1))];
+    }
+    return rng.uniform_int(std::max(PacketCount{0}, c.qu - 2 * k32),
+                           c.qu - 1);
+  };
+  const auto at_or_above = [&] {
+    return rng.bernoulli(0.3) ? c.qu : rng.uniform_int(c.qu, c.qu + 2 * k32);
+  };
+
+  // Each link: (declaration, active).  A link reuses the previous link's
+  // leaf a quarter of the time when it is of the same kind.
+  struct Link {
+    PacketCount declared;
+    bool active;
+    int kind;
+  };
+  std::vector<Link> links;
+  for (int i = 0; i < c.downhill; ++i) links.push_back({below(), true, 0});
+  for (int i = 0; i < c.uphill; ++i) links.push_back({at_or_above(), true, 1});
+  for (int i = 0; i < c.masked; ++i) links.push_back({below(), false, 2});
+  if (c.negative && c.downhill > 0) {
+    links[0].declared = rng.bernoulli(0.5) ? PacketCount{-1} : -(k32 + 7);
+  }
+  std::vector<NodeId> leaf(links.size());
+  NodeId leaves = 0;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const bool share = i > 0 && links[i - 1].kind == links[i].kind &&
+                       links[i - 1].active == links[i].active &&
+                       rng.bernoulli(0.25);
+    if (share) links[i].declared = links[i - 1].declared;
+    leaf[i] = share ? leaf[i - 1] : ++leaves;
+  }
+  std::vector<std::size_t> order(links.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), rng.engine());
+
+  graph::Multigraph g(leaves + 1);
+  std::vector<EdgeId> edge_of(links.size());
+  for (const std::size_t i : order) edge_of[i] = g.add_edge(0, leaf[i]);
+  Rng unused(0);
+  FuzzedView fx(std::move(g), unused, 1);
+  std::fill(fx.queue.begin(), fx.queue.end(), 0);
+  fx.queue[0] = c.qu;
+  fx.declared[0] = c.qu;
+  fx.mask.set_all(true);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    fx.declared[static_cast<std::size_t>(leaf[i])] = links[i].declared;
+    fx.mask.set_active(edge_of[i], links[i].active);
+  }
+  fx.use_mask = c.masked > 0;
+  fx.t = rng.uniform_int(0, 1000);
+  fx.draw_seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+  return fx;
+}
+
+TEST(SelectionDifferential, SweepsEveryDownhillCountAndKeyWidth) {
+  // Every D from 0 to 40 crosses each sort's size edges (the networks end
+  // at 16, std::sort takes over at 17), with q(0) below, at and above D,
+  // and at the narrow key's queue edge 2^32 and past it; with ties,
+  // parallel links, a negative declaration, both tie-breaks and the mask
+  // on and off.
+  constexpr PacketCount k32 = PacketCount{1} << 32;
+  Rng rng(0x5eedULL);
+  int cases = 0;
+  for (const TieBreak tie_break :
+       {TieBreak::kById, TieBreak::kRandomShuffle}) {
+    LggProtocol lgg(tie_break);
+    for (int d = 0; d <= 40; ++d) {
+      for (const PacketCount qu :
+           {PacketCount{d / 2}, PacketCount{d}, PacketCount{d + 7}, k32 - 1,
+            k32, k32 + 1, (PacketCount{1} << 62) + 3}) {
+        if (qu <= 0) continue;
+        for (const bool masked : {false, true}) {
+          for (const bool negative : {false, true}) {
+            for (int rep = 0; rep < 3; ++rep) {
+              HubCase c;
+              c.qu = qu;
+              c.downhill = d;
+              c.uphill = static_cast<int>(rng.uniform_int(0, 4));
+              c.masked = masked ? static_cast<int>(rng.uniform_int(1, 4)) : 0;
+              c.negative = negative;
+              const FuzzedView fx = hub_view(c, rng);
+              expect_matches_reference(lgg, tie_break, fx.view(), rng,
+                                       cases++);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 3000);
+}
+
 }  // namespace
 }  // namespace lgg::core
