@@ -134,12 +134,10 @@ void print_report() {
     core::SimulatorOptions options;
     options.seed = 77;
     core::Simulator sim(net, options);
-    if (c.protect) {
-      sim.set_dynamics(
-          std::make_unique<core::ProtectedChurn>(lane0, c.p_off, c.p_on));
-    } else {
-      sim.set_dynamics(std::make_unique<core::RandomChurn>(c.p_off, c.p_on));
-    }
+    core::FaultSchedule churn;
+    churn.set_random_churn(
+        {c.p_off, c.p_on, c.protect ? lane0 : std::vector<EdgeId>{}});
+    sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
     core::MetricsRecorder recorder;
     sim.run(5000, &recorder);
     const auto stability = core::assess_stability(recorder.network_state());
@@ -158,7 +156,9 @@ void print_report() {
 void BM_ChurnStep(benchmark::State& state) {
   core::SimulatorOptions options;
   core::Simulator sim(core::scenarios::fat_path(4, 3, 1, 3), options);
-  sim.set_dynamics(std::make_unique<core::RandomChurn>(0.3, 0.3));
+  core::FaultSchedule churn;
+  churn.set_random_churn({0.3, 0.3, {}});
+  sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.step());
   }

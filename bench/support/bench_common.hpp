@@ -31,7 +31,6 @@ struct RunSpec {
   std::unique_ptr<core::ArrivalProcess> arrival;    // null = exact
   std::unique_ptr<core::LossModel> loss;            // null = none
   std::unique_ptr<core::Scheduler> scheduler;       // null = none
-  std::unique_ptr<core::TopologyDynamics> dynamics; // null = static
 };
 
 /// Runs one simulation and returns the recorded trajectory.
@@ -43,7 +42,6 @@ inline core::MetricsRecorder run_trajectory(core::SdNetwork net,
   if (spec.arrival) sim.set_arrival(std::move(spec.arrival));
   if (spec.loss) sim.set_loss(std::move(spec.loss));
   if (spec.scheduler) sim.set_scheduler(std::move(spec.scheduler));
-  if (spec.dynamics) sim.set_dynamics(std::move(spec.dynamics));
   core::MetricsRecorder recorder;
   sim.run(spec.steps, &recorder);
   return recorder;

@@ -41,12 +41,11 @@ int main() {
     core::SimulatorOptions options;
     options.seed = 555;
     core::Simulator sim(net, options);
-    if (c.protect) {
-      sim.set_dynamics(
-          std::make_unique<core::ProtectedChurn>(backbone, c.p_off, c.p_on));
-    } else if (c.p_off > 0 || c.p_on > 0) {
-      sim.set_dynamics(
-          std::make_unique<core::RandomChurn>(c.p_off, c.p_on));
+    if (c.protect || c.p_off > 0 || c.p_on > 0) {
+      core::FaultSchedule churn;
+      churn.set_random_churn(
+          {c.p_off, c.p_on, c.protect ? backbone : std::vector<EdgeId>{}});
+      sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
     }
     core::MetricsRecorder recorder;
     sim.run(5000, &recorder);

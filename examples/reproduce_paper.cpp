@@ -120,7 +120,9 @@ int main() {
       lane0.push_back(e);
     }
     core::Simulator sim(net, {});
-    sim.set_dynamics(std::make_unique<core::ProtectedChurn>(lane0, 0.5, 0.5));
+    core::FaultSchedule churn;
+    churn.set_random_churn({0.5, 0.5, lane0});
+    sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
     check("C4: churn with a protected feasible backbone stable",
           verdict_of(sim, 3000) == core::Verdict::kStable);
   }

@@ -12,7 +12,6 @@
 #include "control/governor.hpp"
 #include "control/sentinel.hpp"
 #include "core/arrival.hpp"
-#include "core/dynamics.hpp"
 #include "core/interference.hpp"
 #include "core/loss.hpp"
 #include "core/simulator.hpp"
@@ -91,19 +90,20 @@ ScenarioOutcome run_scenario(const ScenarioConfig& config,
     if (config.loss > 0.0) {
       sim->set_loss(std::make_unique<core::BernoulliLoss>(config.loss));
     }
-    if (config.churn_off >= 0.0) {
-      sim->set_dynamics(std::make_unique<core::RandomChurn>(
-          config.churn_off, config.churn_on));
-    }
     if (config.matching) {
       sim->set_scheduler(std::make_unique<core::GreedyMatchingScheduler>());
     }
-    if (!config.faults.empty() || !config.churn_events.empty()) {
-      // One injector drives both stanzas; churn clauses are kept separate
-      // in the file format only for legibility and shrinking.
+    if (!config.faults.empty() || !config.churn_events.empty() ||
+        config.churn_off >= 0.0) {
+      // One injector drives all three stanzas; the churn line and the
+      // churn clauses are kept separate in the file format only for
+      // legibility and shrinking.
       core::FaultSchedule merged = config.faults;
       for (const core::FaultEvent& e : config.churn_events.events()) {
         merged.add(e);
+      }
+      if (config.churn_off >= 0.0) {
+        merged.set_random_churn({config.churn_off, config.churn_on, {}});
       }
       sim->set_faults(std::make_unique<core::FaultInjector>(
           std::move(merged), config.effective_fault_seed()));

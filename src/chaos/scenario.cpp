@@ -225,10 +225,14 @@ ScenarioConfig read_scenario(std::istream& is) {
       c.declaration = parse_declaration(value);
     } else if (key == "faults") {
       c.faults = core::parse_fault_spec(value);
+      LGG_REQUIRE(c.faults.random_churn() == nullptr,
+                  "scenario: random edge churn belongs on the churn line");
     } else if (key == "churn_events") {
       c.churn_events = core::parse_fault_spec(value);
-      LGG_REQUIRE(c.churn_events.random_crashes().p_per_step <= 0.0,
-                  "scenario: churn_events cannot carry random_crashes");
+      LGG_REQUIRE(c.churn_events.random_crashes().p_per_step <= 0.0 &&
+                      c.churn_events.random_churn() == nullptr,
+                  "scenario: churn_events cannot carry random_crashes or "
+                  "random_churn");
       for (const core::FaultEvent& e : c.churn_events.events()) {
         LGG_REQUIRE(core::is_churn(e.kind),
                     "scenario: churn_events only takes topology-churn "

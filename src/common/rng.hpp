@@ -56,7 +56,7 @@ constexpr std::uint64_t derive_seed(std::uint64_t master,
 }
 
 /// Node coordinate of a draw that belongs to a whole phase rather than to
-/// one node (topology dynamics, interference scheduling, loss marking).
+/// one node (random edge churn, interference scheduling, loss marking).
 inline constexpr std::uint64_t kGlobalDraw = ~std::uint64_t{0};
 
 /// Stream seed owned by the draw site (step, phase, node) under `seed`.

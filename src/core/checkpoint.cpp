@@ -71,9 +71,13 @@ void Simulator::save_checkpoint(std::ostream& os) const {
   binio::write_u32(payload_os, static_cast<std::uint32_t>(queue_.size()));
   for (const PacketCount q : queue_) binio::write_i64(payload_os, q);
 
+  // The edge-mask slot carries the random-churn bits (1 = not held down
+  // by random churn; all ones without it).  Everything else the liveness
+  // rule reads is in the faults blob, so restore rebuilds the mask.
   binio::write_u32(payload_os, static_cast<std::uint32_t>(mask_.size()));
   for (EdgeId e = 0; e < mask_.size(); ++e) {
-    binio::write_u8(payload_os, mask_.active(e) ? 1 : 0);
+    const bool off = faults_ != nullptr && faults_->edge_random_off(e);
+    binio::write_u8(payload_os, off ? 0 : 1);
   }
 
   // v5: live node specs.  Churn mutates rates mid-run, so the checkpoint
@@ -118,9 +122,8 @@ void Simulator::save_checkpoint(std::ostream& os) const {
   component("scheduler", capture([&](std::ostream& s) {
               scheduler_->save_state(s);
             }));
-  component("dynamics", capture([&](std::ostream& s) {
-              dynamics_->save_state(s);
-            }));
+  // The dynamics slot is kept, empty, so the layout stays v9.
+  component("dynamics", std::string());
   component("faults", faults_ != nullptr
                           ? capture([&](std::ostream& s) {
                               faults_->save_state(s);
@@ -225,8 +228,14 @@ void Simulator::restore_checkpoint(std::istream& is) {
            std::to_string(mask_.size()));
     }
     std::vector<char> active(edge_count);
+    const bool random_churn =
+        faults_ != nullptr && faults_->schedule().random_churn() != nullptr;
     for (std::uint32_t e = 0; e < edge_count; ++e) {
       active[e] = static_cast<char>(binio::read_u8(ps));
+      if (active[e] == 0 && !random_churn) {
+        fail("edge " + std::to_string(e) +
+             " held down by random churn, but none is installed");
+      }
     }
 
     // v5: live node specs (see save side).
@@ -270,6 +279,7 @@ void Simulator::restore_checkpoint(std::istream& is) {
       }
       blobs[i] = binio::read_string(ps);
     }
+    if (!blobs[4].empty()) fail("non-empty dynamics component");
     const bool had_faults = binio::read_u8(ps) != 0;
     if (had_faults && faults_ == nullptr) {
       fail("checkpoint has fault-injector state but none is installed");
@@ -322,9 +332,6 @@ void Simulator::restore_checkpoint(std::istream& is) {
           static_cast<detail::QuadAccum>(sum_sq_lo);
       if (sum_sq_ != want_sum_sq) fail("Σq² accumulator mismatch");
 
-      for (EdgeId e = 0; e < mask_.size(); ++e) {
-        mask_.set_active(e, active[static_cast<std::size_t>(e)] != 0);
-      }
       for (std::uint32_t v = 0; v < spec_count; ++v) {
         if (!(net_.spec(static_cast<NodeId>(v)) == specs[v])) {
           net_.set_spec(static_cast<NodeId>(v), specs[v]);
@@ -349,8 +356,15 @@ void Simulator::restore_checkpoint(std::istream& is) {
       load(1, *arrival_);
       load(2, *loss_);
       load(3, *scheduler_);
-      load(4, *dynamics_);
-      if (faults_ != nullptr) load(5, *faults_);
+      if (faults_ != nullptr) {
+        load(5, *faults_);
+        for (EdgeId e = 0; e < mask_.size(); ++e) {
+          faults_->set_random_off(e, active[static_cast<std::size_t>(e)] == 0);
+        }
+        faults_->live_mask(net_, mask_);
+      } else {
+        mask_.set_all(true);
+      }
       if (had_telemetry && telemetry_ != nullptr) {
         std::istringstream blob(telemetry_blob, std::ios::binary);
         telemetry_->load_state(blob);

@@ -1,13 +1,13 @@
 // Crash-safe simulator checkpoints.
 //
 // A checkpoint captures everything that determines the rest of a
-// trajectory: the step index, queues, edge mask, topology version, the
-// Σq / Σq² accumulators, cumulative stats, the master seed (draws are
-// addressed by (seed, step, phase, node), so seed + step pin every
-// remaining draw — there is no evolving stream to capture), an
+// trajectory: the step index, queues, random-churn edge bits, topology
+// version, the Σq / Σq² accumulators, cumulative stats, the master seed
+// (draws are addressed by (seed, step, phase, node), so seed + step pin
+// every remaining draw — there is no evolving stream to capture), an
 // opaque state blob per component (protocol, arrival, loss, scheduler,
-// dynamics, faults), and — when a telemetry session is attached — the
-// telemetry state (snapshot sequence number, metric values, cumulative
+// an always-empty dynamics slot, faults), and — when a telemetry session
+// is attached — the telemetry state (snapshot sequence number, metric values, cumulative
 // drift, flight-recorder ring).  Restoring into a simulator assembled
 // with the same network, options, and component configuration continues
 // the run bitwise-identically to one that was never interrupted; with the

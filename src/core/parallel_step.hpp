@@ -5,7 +5,7 @@
 // it hands selection to this engine, which fans it out over a ShardPlan on
 // a thread pool:
 //
-//   1. dynamics + faults        skeleton  (mutates the shared edge mask)
+//   1. faults + churn           skeleton  (rebuilds the shared edge mask)
 //   2. injection                skeleton  (O(sources))
 //   3. declarations             skeleton  (O(retention nodes), cheap)
 //   4. selection                select()  (protocols with local_selection;

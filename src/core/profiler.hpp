@@ -34,7 +34,7 @@ namespace lgg::core {
 /// The eight phases of Simulator::step(), in execution order.  The values
 /// address RNG streams, so they never change.
 enum class StepPhase : std::uint8_t {
-  kDynamics = 0,    ///< topology dynamics mutate the edge mask
+  kDynamics = 0,    ///< faults and churn decide which links are up
   kInjection,       ///< sources add packets
   kDeclaration,     ///< nodes declare queue lengths
   kSelection,       ///< the protocol proposes transmissions

@@ -62,7 +62,7 @@ class SdNetwork {
   // The role indices below are maintained eagerly on every role mutation
   // (set_source/set_sink/set_generalized/clear_role/set_spec), so the
   // simulator's per-step injection and extraction loops touch only the
-  // relevant nodes instead of scanning all n.  Edge-mask dynamics never
+  // relevant nodes instead of scanning all n.  Random edge churn never
   // change roles, but scheduled churn (core/faults.hpp node_join/
   // node_leave/nudge) mutates specs mid-run through set_spec — callers
   // holding references to these lists must re-read them after any step

@@ -16,7 +16,6 @@ Simulator::Simulator(SdNetwork net, SimulatorOptions options,
       arrival_(std::make_unique<ExactArrival>()),
       loss_(std::make_unique<NoLoss>()),
       scheduler_(std::make_unique<NoInterference>()),
-      dynamics_(std::make_unique<StaticTopology>()),
       incidence_(net_.topology()),
       mask_(net_.topology().edge_count()),
       queue_(static_cast<std::size_t>(net_.node_count()), 0),
@@ -59,15 +58,13 @@ void Simulator::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
   }
 }
 
-void Simulator::set_dynamics(std::unique_ptr<TopologyDynamics> dynamics) {
-  LGG_REQUIRE(dynamics != nullptr, "set_dynamics: null");
-  dynamics_ = std::move(dynamics);
-}
-
 void Simulator::set_faults(std::unique_ptr<FaultInjector> faults) {
   if (faults != nullptr) {
     faults->schedule().validate(net_);
     faults->size_to(net_);
+    faults->live_mask(net_, mask_);
+  } else {
+    mask_.set_all(true);
   }
   faults_ = std::move(faults);
   if (telemetry_ != nullptr && faults_ != nullptr) {
@@ -263,68 +260,58 @@ obs::Telemetry* Simulator::arm_telemetry() {
   return tel;
 }
 
-const graph::EdgeMask* Simulator::phase_dynamics(StepStats& stats,
-                                                 obs::Telemetry* tel) {
-  // Topology dynamics, then fault transitions.  Faults fold into the
-  // dynamics phase: both mutate which links exist this step.
+void Simulator::phase_dynamics(StepStats& stats, obs::Telemetry* tel) {
+  // The injector decides which links are up.  Each link-state source that
+  // changes bumps the topology version once, in a fixed order: random
+  // churn, scheduled churn, then the windowed fault transitions, so the
+  // rest of the step (and the injector's own surge/outage windows) sees
+  // the post-churn roles.
+  churn_delta_.clear();
+  if (faults_ == nullptr) return;
+  bool changed = false;
+  const auto bump = [&] {
+    ++topology_version_;
+    stats.topology_changed = true;
+    changed = true;
+  };
   {
     Rng rng = phase_rng(StepPhase::kDynamics);
-    if (dynamics_->evolve(t_, net_, mask_, rng)) {
-      ++topology_version_;
-      stats.topology_changed = true;
+    if (faults_->apply_random_churn(rng, churn_delta_)) bump();
+  }
+  wiped_scratch_.clear();
+  const auto wipe = [&](NodeId v) {
+    const PacketCount q = queue_[static_cast<std::size_t>(v)];
+    if (q > 0) {
+      // Departing/crashing queues leave the network as crash_wiped so
+      // the conservation audit balances.
+      apply_queue_delta(v, -q, obs::DriftCause::kCrashWiped);
+      stats.crash_wiped += q;
+      if (tel != nullptr) wiped_scratch_.emplace_back(v, q);
+    }
+  };
+  if (faults_->apply_churn(t_, net_, churn_delta_, wipe)) bump();
+  if (tel != nullptr && !churn_delta_.empty()) record_churn_flight_events(tel);
+  const FaultInjector::StepEffects effects = faults_->begin_step(
+      t_, net_, wipe);
+  if (tel != nullptr) {
+    for (const NodeId v : faults_->went_down()) {
+      PacketCount wiped = 0;
+      for (const auto& [w, q] : wiped_scratch_) {
+        if (w == v) wiped = q;
+      }
+      tel->record_event(
+          {t_, obs::EventKind::kNodeDown, v, kInvalidNode, wiped});
+    }
+    for (const NodeId v : faults_->came_up()) {
+      tel->record_event({t_, obs::EventKind::kNodeUp, v, kInvalidNode, 0});
     }
   }
-  const graph::EdgeMask* active_mask = &mask_;
-  churn_delta_.clear();
-  if (faults_ != nullptr) {
-    wiped_scratch_.clear();
-    const auto wipe = [&](NodeId v) {
-      const PacketCount q = queue_[static_cast<std::size_t>(v)];
-      if (q > 0) {
-        // Departing/crashing queues leave the network as crash_wiped so
-        // the conservation audit balances.
-        apply_queue_delta(v, -q, obs::DriftCause::kCrashWiped);
-        stats.crash_wiped += q;
-        if (tel != nullptr) wiped_scratch_.emplace_back(v, q);
-      }
-    };
-    // Scheduled churn fires before the windowed fault transitions so the
-    // rest of the step (and the injector's own surge/outage windows) sees
-    // the post-churn roles.
-    const bool churned = faults_->apply_churn(t_, net_, churn_delta_, wipe);
-    if (churned) {
-      ++topology_version_;
-      stats.topology_changed = true;
-      if (tel != nullptr) record_churn_flight_events(tel);
-    }
-    const FaultInjector::StepEffects effects = faults_->begin_step(
-        t_, net_, wipe);
-    if (tel != nullptr) {
-      for (const NodeId v : faults_->went_down()) {
-        PacketCount wiped = 0;
-        for (const auto& [w, q] : wiped_scratch_) {
-          if (w == v) wiped = q;
-        }
-        tel->record_event(
-            {t_, obs::EventKind::kNodeDown, v, kInvalidNode, wiped});
-      }
-      for (const NodeId v : faults_->came_up()) {
-        tel->record_event({t_, obs::EventKind::kNodeUp, v, kInvalidNode, 0});
-      }
-    }
-    if (effects.down_set_changed) {
-      // Protocol caches key on the topology version; a down-set change
-      // alters the effective edge set just like a dynamics event.
-      ++topology_version_;
-      stats.topology_changed = true;
-    }
-    if (effects.any_down || faults_->churn_overlay_active()) {
-      effective_mask_ = mask_;
-      faults_->apply_to_mask(net_, effective_mask_);
-      active_mask = &effective_mask_;
-    }
-  }
-  return active_mask;
+  // Protocol caches key on the topology version; a down-set change alters
+  // the live edge set just like an edge flip.
+  if (effects.down_set_changed) bump();
+  // Every bit the liveness rule reads is fixed until the next step's
+  // phase 1, so the mask is rebuilt only when one of them changed.
+  if (changed) faults_->live_mask(net_, mask_);
 }
 
 void Simulator::arrival_begin_step() {
@@ -342,8 +329,7 @@ void Simulator::arrival_begin_step() {
   arrival_->begin_step(ctx);
 }
 
-void Simulator::phase_injection(StepStats& stats, obs::Telemetry* tel,
-                                const graph::EdgeMask* active_mask) {
+void Simulator::phase_injection(StepStats& stats, obs::Telemetry* tel) {
   // Injection — only source nodes (in > 0) can inject; down sources
   // don't, surging sources inject extra on top of the arrival process.
   // An attached admission controller sees the pre-injection potential and
@@ -355,7 +341,7 @@ void Simulator::phase_injection(StepStats& stats, obs::Telemetry* tel,
   if (admission_ != nullptr) {
     admission_mode_before = admission_->mode();
     admission_->begin_step({t_, network_state(), topology_version_, &net_,
-                            active_mask,
+                            &mask_,
                             churn_delta_.empty() ? nullptr : &churn_delta_});
   }
   std::uint64_t visits = 0;
@@ -589,14 +575,14 @@ StepStats Simulator::step() {
     }
   };
 
-  // 1. Topology dynamics + fault transitions.
-  const graph::EdgeMask* active_mask = phase_dynamics(stats, tel);
+  // 1. Link state: random churn, scheduled churn, fault transitions.
+  phase_dynamics(stats, tel);
   lap(StepPhase::kDynamics, stats.topology_changed ? 1 : 0);
 
   // 2. Injection.
   if (observer_ != nullptr) pre_injection_ = queue_;
   arrival_begin_step();
-  phase_injection(stats, tel, active_mask);
+  phase_injection(stats, tel);
   lap(StepPhase::kInjection, static_cast<std::uint64_t>(stats.injected));
 
   // 3. Declarations.
@@ -608,8 +594,7 @@ StepStats Simulator::step() {
   // Protocols, schedulers and loss models read a null mask as "every link
   // up", which spares selection one mask read per neighbour; admission
   // control above got the mask itself.
-  const graph::EdgeMask* const routed =
-      active_mask->all_active() ? nullptr : active_mask;
+  const graph::EdgeMask* const routed = mask_.all_active() ? nullptr : &mask_;
   const StepView view{&net_,      &incidence_,   routed,
                       queue_,     declared_view, t_,
                       topology_version_, options_.seed};

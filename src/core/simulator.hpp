@@ -1,7 +1,7 @@
 // The synchronous simulation engine of Section II.
 //
 // One step executes, in order:
-//   1. topology dynamics mutate the active edge set           (Conj. 4)
+//   1. faults and churn change which links are up             (Conj. 4)
 //   2. sources inject packets per the arrival process         (in_t <= in)
 //   3. nodes declare queue lengths                            (Def. 7 (ii))
 //   4. the routing protocol proposes transmissions            (Algorithm 1)
@@ -25,7 +25,6 @@
 
 #include "core/admission.hpp"
 #include "core/arrival.hpp"
-#include "core/dynamics.hpp"
 #include "core/faults.hpp"
 #include "core/generalized.hpp"
 #include "core/interference.hpp"
@@ -152,7 +151,7 @@ class Simulator {
   /// The trajectory — queues, stats, drift attribution, telemetry bytes,
   /// checkpoint bytes — is bitwise identical to the serial engine for
   /// every (shards, threads) choice.  May be called between steps; the
-  /// partition derives from the base graph only, so topology dynamics and
+  /// partition derives from the base graph only, so edge churn and
   /// checkpoint restores compose freely.
   void enable_sharding(std::uint32_t shards, std::size_t threads = 0);
   /// Returns step() to the serial engine.
@@ -161,25 +160,28 @@ class Simulator {
   [[nodiscard]] std::uint32_t shard_count() const;
 
   // Optional components (defaults: exact arrivals, no loss, no
-  // interference, static topology).
+  // interference, no faults: every link up).
   void set_arrival(std::unique_ptr<ArrivalProcess> arrival);
   void set_loss(std::unique_ptr<LossModel> loss);
   void set_scheduler(std::unique_ptr<Scheduler> scheduler);
-  void set_dynamics(std::unique_ptr<TopologyDynamics> dynamics);
 
   /// Installs a fault injector (node crashes, sink outages, source surges,
-  /// Byzantine declarations, topology churn — core/faults.hpp).  The
-  /// schedule is validated against the network; pass nullptr to remove.
+  /// Byzantine declarations, scheduled and random edge churn —
+  /// core/faults.hpp), the one component that decides which links are up.
+  /// The schedule is validated against the network and the edge mask is
+  /// rebuilt from the injector's state; pass nullptr to remove (every link
+  /// up again).
   void set_faults(std::unique_ptr<FaultInjector> faults);
   [[nodiscard]] const FaultInjector* faults() const { return faults_.get(); }
 
-  /// What the most recent step's scheduled churn mutated (empty on steps
-  /// without churn).  Valid until the next step starts.
+  /// What the most recent step's random and scheduled churn mutated
+  /// (empty on steps without churn).  Valid until the next step starts.
   [[nodiscard]] const TopologyDelta& last_churn() const {
     return churn_delta_;
   }
-  /// Bumped on every effective topology change (dynamics, fault
-  /// transitions, churn); keys protocol caches and certificate staleness.
+  /// Bumped once per link-state source that changed at a step (random
+  /// churn, scheduled churn, the down-set); keys protocol caches and
+  /// certificate staleness.
   [[nodiscard]] std::uint64_t topology_version() const {
     return topology_version_;
   }
@@ -218,6 +220,8 @@ class Simulator {
 
   [[nodiscard]] const SdNetwork& network() const { return net_; }
   [[nodiscard]] const RoutingProtocol& protocol() const { return *protocol_; }
+  /// The links every phase of a step routes against (FaultInjector's
+  /// liveness rule; all up without an injector).
   [[nodiscard]] const graph::EdgeMask& edge_mask() const { return mask_; }
   [[nodiscard]] TimeStep now() const { return t_; }
 
@@ -313,10 +317,9 @@ class Simulator {
 
   /// Arms telemetry/drift for this step; returns the session or nullptr.
   obs::Telemetry* arm_telemetry();
-  /// Phase 1: topology dynamics + fault transitions; returns the mask the
-  /// rest of the step routes against.
-  const graph::EdgeMask* phase_dynamics(StepStats& stats,
-                                        obs::Telemetry* tel);
+  /// Phase 1: random churn, scheduled churn and fault transitions; rebuilds
+  /// mask_ on steps where any of them changed.
+  void phase_dynamics(StepStats& stats, obs::Telemetry* tel);
   /// Phase 2 prologue: the arrival process's once-per-step serial hook
   /// (core/arrival.hpp ArrivalContext).  Both engines call it exactly once
   /// before any packets() call, so stateful/adversarial processes stay
@@ -325,12 +328,11 @@ class Simulator {
   /// Phase 2, for both engines.  Visits every source, or — when the
   /// arrival process publishes a sparse active-source set — only the
   /// active and surging sources.
-  void phase_injection(StepStats& stats, obs::Telemetry* tel,
-                       const graph::EdgeMask* active_mask);
+  void phase_injection(StepStats& stats, obs::Telemetry* tel);
   /// Phase 3: declarations; returns the view (may alias queue_) and adds
   /// the per-node evaluations performed to `work`.
   std::span<const PacketCount> phase_declarations(std::uint64_t& work);
-  /// Phase 1 tail: flight-recorder events for this step's churn mutations.
+  /// Phase 1: flight-recorder events for this step's churn mutations.
   void record_churn_flight_events(obs::Telemetry* tel);
   /// Phase 7, both engines: applies the kept transmissions, adds sent,
   /// lost and delivered to `stats` and returns the sent count.  kArmed
@@ -350,12 +352,10 @@ class Simulator {
   std::unique_ptr<ArrivalProcess> arrival_;
   std::unique_ptr<LossModel> loss_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<TopologyDynamics> dynamics_;
   std::unique_ptr<FaultInjector> faults_;
 
   graph::CsrIncidence incidence_;
-  graph::EdgeMask mask_;
-  graph::EdgeMask effective_mask_;  // mask_ with fault down-nodes overlaid
+  graph::EdgeMask mask_;  // rebuilt by phase_dynamics on change steps only
 
   // Non-null while sharding is enabled; owns the partition, thread pool,
   // and per-shard scratch.  Holds no cross-step trajectory state, so
@@ -381,8 +381,8 @@ class Simulator {
   ContractScratch contract_scratch_;
   // Per-step (node, wiped packets) pairs for flight-recorder crash events.
   std::vector<std::pair<NodeId, PacketCount>> wiped_scratch_;
-  // What this step's scheduled churn mutated; cleared at phase 1, consumed
-  // by admission control (certificate patching) and telemetry.
+  // What this step's random and scheduled churn mutated; cleared at phase
+  // 1, consumed by admission control (certificate patching) and telemetry.
   TopologyDelta churn_delta_;
 
   TimeStep t_ = 0;

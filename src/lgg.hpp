@@ -40,7 +40,6 @@
 #include "core/checkpoint.hpp"       // IWYU pragma: export
 #include "core/ckpt_chain.hpp"       // IWYU pragma: export
 #include "core/convergence.hpp"      // IWYU pragma: export
-#include "core/dynamics.hpp"         // IWYU pragma: export
 #include "core/faults.hpp"           // IWYU pragma: export
 #include "core/flow_plan.hpp"        // IWYU pragma: export
 #include "core/generalized.hpp"      // IWYU pragma: export

@@ -66,7 +66,9 @@ TEST(FlowRouting, RebuildsPlanAfterTopologyChange) {
   auto protocol = std::make_unique<FlowRoutingProtocol>();
   FlowRoutingProtocol* raw = protocol.get();
   core::Simulator sim(fat_path(2, 2, 1, 2), checked(), std::move(protocol));
-  sim.set_dynamics(std::make_unique<core::RandomChurn>(1.0, 1.0));
+  core::FaultSchedule churn;
+  churn.set_random_churn({1.0, 1.0, {}});
+  sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
   sim.step();  // all edges dropped
   EXPECT_EQ(raw->path_count(), 0u);
   sim.step();  // all edges restored

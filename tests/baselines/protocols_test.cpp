@@ -45,7 +45,9 @@ TEST_P(AllProtocols, ConservationUnderLossAndChurn) {
   core::Simulator sim(core::scenarios::fat_path(4, 3, 2, 3), checked(9),
                       make_protocol(GetParam()));
   sim.set_loss(std::make_unique<core::BernoulliLoss>(0.2));
-  sim.set_dynamics(std::make_unique<core::RandomChurn>(0.05, 0.5));
+  core::FaultSchedule churn;
+  churn.set_random_churn({0.05, 0.5, {}});
+  sim.set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
   sim.run(400);
   EXPECT_TRUE(sim.conserves_packets());
 }

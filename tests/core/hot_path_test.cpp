@@ -201,7 +201,9 @@ TEST(IncrementalCounters, MatchFullScanOnFuzzedConfigurations) {
       sim.set_loss(std::make_unique<BernoulliLoss>(0.2));
     }
     if (rng.bernoulli(0.4)) {
-      sim.set_dynamics(std::make_unique<RandomChurn>(0.1, 0.3));
+      FaultSchedule churn;
+      churn.set_random_churn({0.1, 0.3, {}});
+      sim.set_faults(std::make_unique<FaultInjector>(std::move(churn)));
     }
     sim.set_initial_queue(static_cast<NodeId>(rng.uniform_int(0, n - 1)),
                           rng.uniform_int(0, 40));

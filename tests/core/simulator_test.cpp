@@ -138,7 +138,9 @@ TEST(Simulator, SchedulerSuppressionCountsAndConserves) {
 
 TEST(Simulator, DynamicsChangeTopologyVersion) {
   Simulator sim(scenarios::fat_path(3, 3, 1, 2), checked());
-  sim.set_dynamics(std::make_unique<RandomChurn>(0.5, 0.5));
+  FaultSchedule churn;
+  churn.set_random_churn({0.5, 0.5, {}});
+  sim.set_faults(std::make_unique<FaultInjector>(std::move(churn)));
   MetricsRecorder recorder;
   sim.run(50, &recorder);
   bool changed = false;

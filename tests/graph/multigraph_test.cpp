@@ -230,7 +230,9 @@ TEST(EdgeMask, CountsSurviveACheckpointRestore) {
   const auto make = [] {
     auto sim = std::make_unique<core::Simulator>(
         core::scenarios::grid_single(4, 4));
-    sim->set_dynamics(std::make_unique<core::RandomChurn>(0.3, 0.2));
+    core::FaultSchedule churn;
+    churn.set_random_churn({0.3, 0.2, {}});
+    sim->set_faults(std::make_unique<core::FaultInjector>(std::move(churn)));
     return sim;
   };
   auto source = make();

@@ -16,8 +16,10 @@
 // out of ascending order, or more entries than nodes.  So is fault-injector
 // state naming a node or edge outside the network, or a negative parked
 // spec, and a stale-LGG history deeper than its delay allows or with a
-// snapshot whose length is not the node count.  A rejected restore leaves
-// the simulator exactly as it was.
+// snapshot whose length is not the node count.  So is an edge the mask
+// slot holds down by random churn when none is installed, and a non-empty
+// dynamics component.  A rejected restore leaves the simulator exactly as
+// it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -470,6 +472,58 @@ TEST(CheckpointFuzz, NegativeParkedSpecIsRejected) {
         with_u64(c.bytes, c.departed_node_at + 8 + 8 * field,
                  ~std::uint64_t{0}),
         "negative parked spec", fault_sim);
+  }
+}
+
+/// Payload offset of the edge-mask slot's first byte (the random-churn
+/// bits): t, topology version, initial total, Σq and Σq² (48 bytes), the
+/// u32 node count and i64 queues, then the u32 edge count.
+std::size_t mask_slot_at(const std::string& bytes, std::uint32_t nodes) {
+  constexpr std::size_t kPayloadAt = sizeof(core::kCheckpointMagic) + 4 + 8 + 4;
+  const std::size_t node_count_at = kPayloadAt + 48;
+  EXPECT_EQ(read_u32(bytes, node_count_at), nodes);
+  return node_count_at + 4 + 8 * std::size_t{nodes} + 4;
+}
+
+TEST(CheckpointFuzz, RandomChurnBitWithoutRandomChurnIsRejected) {
+  // The mask slot may hold an edge down only when the restoring simulator
+  // has random churn installed: without an injector, and with one whose
+  // schedule has no random churn.
+  const auto net = small_sim()->network();
+  const auto nodes = static_cast<std::uint32_t>(net.node_count());
+  const std::string plain = hotspot_checkpoint().bytes;
+  const std::string faulted = fault_checkpoint().bytes;
+  for (const EdgeId e : {EdgeId{0}, net.topology().edge_count() - 1}) {
+    SCOPED_TRACE(e);
+    const std::size_t at = mask_slot_at(plain, nodes) + e;
+    ASSERT_EQ(plain[at], 1);
+    expect_rejected_and_unchanged(with_uint(plain, at, 0, 1),
+                                  "held down by random churn");
+    const std::size_t fat = mask_slot_at(faulted, nodes) + e;
+    ASSERT_EQ(faulted[fat], 1);
+    expect_rejected_and_unchanged(with_uint(faulted, fat, 0, 1),
+                                  "held down by random churn", fault_sim);
+  }
+}
+
+TEST(CheckpointFuzz, NonEmptyDynamicsBlobIsRejected) {
+  // The dynamics component keeps its label and an empty blob; a blob with
+  // content (say, one written by a removed dynamics model) is rejected.
+  constexpr std::size_t kSizeAt = sizeof(core::kCheckpointMagic) + 4;
+  const std::string bytes = fault_checkpoint().bytes;
+  const std::string label = std::string("\x08\0\0\0dynamics", 12);
+  const std::size_t at = bytes.find(label);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t blob_at = at + label.size();
+  ASSERT_EQ(read_u32(bytes, blob_at), 0u);
+  for (const std::string& blob : {std::string(1, '\0'), std::string("state")}) {
+    SCOPED_TRACE(blob.size());
+    std::string corrupt = bytes;
+    corrupt.insert(blob_at + 4, blob);
+    corrupt = with_uint(std::move(corrupt), blob_at, blob.size(), 4);
+    corrupt = with_u64(std::move(corrupt), kSizeAt,
+                       read_u64(bytes, kSizeAt) + blob.size());
+    expect_rejected_and_unchanged(corrupt, "non-empty dynamics", fault_sim);
   }
 }
 

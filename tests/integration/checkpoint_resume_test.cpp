@@ -27,12 +27,12 @@ std::unique_ptr<core::Simulator> build(const std::string& protocol,
       test_network(), options, baselines::make_protocol(protocol));
   sim->set_arrival(std::make_unique<core::BernoulliArrival>(0.8));
   sim->set_loss(std::make_unique<core::BernoulliLoss>(0.05));
-  sim->set_dynamics(std::make_unique<core::RandomChurn>(0.05, 0.4));
+  core::FaultSchedule schedule;
+  schedule.set_random_churn({0.05, 0.4, {}});
   if (with_faults) {
-    core::FaultSchedule schedule;
     schedule.set_random_crashes({0.02, 1, 8, core::CrashMode::kWipe});
-    sim->set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
   }
+  sim->set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
   return sim;
 }
 
@@ -321,19 +321,21 @@ TEST(CheckpointResume, ConfigurationMismatchIsDetected) {
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW(other.restore_checkpoint(is), core::CheckpointError);
   }
+  // build() always installs an injector (random edge churn); a bare
+  // simulator on the same network has none.
   {  // Checkpoint without faults, simulator with faults installed.
+    core::Simulator bare(test_network());
+    bare.run(20);
+    std::ostringstream bos(std::ios::binary);
+    bare.save_checkpoint(bos);
     auto other = build("lgg", true);
-    std::istringstream is(bytes, std::ios::binary);
+    std::istringstream is(bos.str(), std::ios::binary);
     EXPECT_THROW(other->restore_checkpoint(is), core::CheckpointError);
   }
   {  // Checkpoint with faults, simulator without.
-    auto faulted = build("lgg", true);
-    faulted->run(20);
-    std::ostringstream fos(std::ios::binary);
-    faulted->save_checkpoint(fos);
-    auto other = build("lgg", false);
-    std::istringstream is(fos.str(), std::ios::binary);
-    EXPECT_THROW(other->restore_checkpoint(is), core::CheckpointError);
+    core::Simulator other(test_network());
+    std::istringstream is(bytes, std::ios::binary);
+    EXPECT_THROW(other.restore_checkpoint(is), core::CheckpointError);
   }
 }
 
@@ -355,6 +357,86 @@ TEST(CheckpointResume, FileHelpersRoundTrip) {
   EXPECT_THROW(
       core::restore_checkpoint_file(*resumed, path + ".does-not-exist"),
       core::CheckpointError);
+}
+
+TEST(CheckpointResume, MixedRandomAndScheduledChurnResumesMidChurn) {
+  // Random churn and scheduled edge_remove/edge_add on the same edges, a
+  // node_leave/node_join and armed telemetry (edge flight events).  The
+  // break falls while edge 2 is scheduled out and random churn holds
+  // edges down, so the checkpoint's mask slot and the faults blob both
+  // carry live bits; the resumed run must write the uninterrupted run's
+  // stream, flight ring and final checkpoint bytes.
+  constexpr TimeStep kChurnBreak = 45;
+  const auto make = [] {
+    core::SimulatorOptions options;
+    options.seed = 0xC4C4;
+    auto sim = std::make_unique<core::Simulator>(test_network(), options);
+    sim->set_arrival(std::make_unique<core::BernoulliArrival>(0.8));
+    sim->set_faults(std::make_unique<core::FaultInjector>(
+        core::parse_fault_spec(
+            "random_churn:off=0.1,on=0.3,protect=0;"
+            "edge_remove:edge=2,at=30;edge_add:edge=2,at=70;"
+            "edge_remove:edge=3,at=44;edge_add:edge=3,at=46;"
+            "node_leave:node=1,at=40;node_join:node=1,at=90"),
+        0xFA));
+    return sim;
+  };
+  const auto make_telemetry = [] {
+    obs::TelemetryOptions topts;
+    topts.snapshot_every = 10;
+    topts.flight_capacity = 64;
+    return std::make_unique<obs::Telemetry>(topts);
+  };
+  const auto checkpoint = [](const core::Simulator& sim) {
+    std::ostringstream os(std::ios::binary);
+    sim.save_checkpoint(os);
+    return os.str();
+  };
+
+  auto full_tel = make_telemetry();
+  std::ostringstream full_stream;
+  obs::OstreamJsonlSink full_sink(full_stream);
+  full_tel->set_sink(&full_sink);
+  auto full = make();
+  full->set_telemetry(full_tel.get());
+  full->run(kHorizon);
+  std::ostringstream full_flight;
+  full_tel->dump_flight(full_flight);
+
+  auto first_tel = make_telemetry();
+  std::ostringstream first_stream;
+  obs::OstreamJsonlSink first_sink(first_stream);
+  first_tel->set_sink(&first_sink);
+  auto first = make();
+  first->set_telemetry(first_tel.get());
+  first->run(kChurnBreak);
+  ASSERT_TRUE(first->faults()->edge_removed(2));
+  ASSERT_FALSE(first->edge_mask().all_active());
+  bool random_off = false;
+  for (EdgeId e = 0; e < first->edge_mask().size(); ++e) {
+    random_off = random_off || first->faults()->edge_random_off(e);
+  }
+  ASSERT_TRUE(random_off);
+  const std::string blob = checkpoint(*first);
+
+  auto resumed_tel = make_telemetry();
+  std::ostringstream resumed_stream;
+  obs::OstreamJsonlSink resumed_sink(resumed_stream);
+  resumed_tel->set_sink(&resumed_sink);
+  auto resumed = make();
+  resumed->set_telemetry(resumed_tel.get());
+  std::istringstream is(blob, std::ios::binary);
+  resumed->restore_checkpoint(is);
+  for (EdgeId e = 0; e < first->edge_mask().size(); ++e) {
+    ASSERT_EQ(resumed->edge_mask().active(e), first->edge_mask().active(e));
+  }
+  resumed->run(kHorizon - kChurnBreak);
+
+  EXPECT_EQ(first_stream.str() + resumed_stream.str(), full_stream.str());
+  std::ostringstream resumed_flight;
+  resumed_tel->dump_flight(resumed_flight);
+  EXPECT_EQ(resumed_flight.str(), full_flight.str());
+  EXPECT_EQ(checkpoint(*resumed), checkpoint(*full));
 }
 
 }  // namespace

@@ -168,8 +168,9 @@ TEST(Conjecture4, FeasibilityPreservingChurnIsStable) {
   SimulatorOptions options;
   options.seed = 19;
   Simulator sim(net, options);
-  sim.set_dynamics(
-      std::make_unique<ProtectedChurn>(protected_edges, 0.3, 0.3));
+  FaultSchedule churn;
+  churn.set_random_churn({0.3, 0.3, protected_edges});
+  sim.set_faults(std::make_unique<FaultInjector>(std::move(churn)));
   MetricsRecorder recorder;
   sim.run(4000, &recorder);
   EXPECT_EQ(assess_stability(recorder.network_state()).verdict,
@@ -178,12 +179,14 @@ TEST(Conjecture4, FeasibilityPreservingChurnIsStable) {
 }
 
 TEST(Conjecture4, TotalOutageDiverges) {
-  // Dynamics that kill every edge permanently: packets pile up at sources.
+  // Churn that kills every edge permanently: packets pile up at sources.
   const SdNetwork net = scenarios::fat_path(3, 2, 1, 2);
   SimulatorOptions options;
   options.seed = 19;
   Simulator sim(net, options);
-  sim.set_dynamics(std::make_unique<RandomChurn>(1.0, 0.0));
+  FaultSchedule churn;
+  churn.set_random_churn({1.0, 0.0, {}});
+  sim.set_faults(std::make_unique<FaultInjector>(std::move(churn)));
   MetricsRecorder recorder;
   sim.run(1200, &recorder);
   EXPECT_EQ(assess_stability(recorder.network_state()).verdict,

@@ -122,15 +122,13 @@ TEST_P(FuzzSoak, RandomConfigurationConservesAndHonoursContracts) {
     case 1: sim.set_scheduler(std::make_unique<core::Distance2GreedyScheduler>()); break;
     default: break;  // none
   }
-  if (rng.bernoulli(0.4)) {
-    sim.set_dynamics(std::make_unique<core::RandomChurn>(0.1, 0.4));
-  }
-  if (rng.bernoulli(0.5)) {
-    core::FaultSchedule faults = random_faults(rng, net);
-    if (!faults.empty()) {
-      sim.set_faults(std::make_unique<core::FaultInjector>(
-          faults, derive_seed(master, 2)));
-    }
+  const bool churn = rng.bernoulli(0.4);
+  core::FaultSchedule faults;
+  if (rng.bernoulli(0.5)) faults = random_faults(rng, net);
+  if (churn) faults.set_random_churn({0.1, 0.4, {}});
+  if (!faults.empty()) {
+    sim.set_faults(std::make_unique<core::FaultInjector>(
+        faults, derive_seed(master, 2)));
   }
   // Random initial queues exercise non-empty starts.
   for (NodeId v = 0; v < net.node_count(); ++v) {

@@ -45,9 +45,9 @@ std::unique_ptr<core::Simulator> build(const std::string& protocol,
       net, options, baselines::make_protocol(protocol));
   sim->set_arrival(std::make_unique<core::BernoulliArrival>(0.8));
   sim->set_loss(std::make_unique<core::BernoulliLoss>(0.1));
-  sim->set_dynamics(std::make_unique<core::RandomChurn>(0.05, 0.4));
+  core::FaultSchedule schedule;
+  schedule.set_random_churn({0.05, 0.4, {}});
   if (with_faults) {
-    core::FaultSchedule schedule;
     schedule.set_random_crashes({0.03, 1, 8, core::CrashMode::kWipe});
     core::FaultEvent surge;
     surge.kind = core::FaultKind::kSourceSurge;
@@ -62,8 +62,8 @@ std::unique_ptr<core::Simulator> build(const std::string& protocol,
     outage.at = 60;
     outage.duration = 25;
     schedule.add(outage);
-    sim->set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
   }
+  sim->set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
   return sim;
 }
 

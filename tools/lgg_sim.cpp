@@ -26,13 +26,14 @@
 //                          parameters are usage errors, exit 2).  Mutually
 //                          exclusive with --arrival-scale.
 //     --matching           node-exclusive greedy matching scheduler
-//     --churn P_OFF P_ON   random edge churn
 //     --faults SPEC        fault schedule (core/faults.hpp grammar), e.g.
 //                          'crash:node=2,at=100,for=50;random_crashes:p=1e-3'
 //                          Scheduled topology churn uses the same grammar:
 //                          'edge_remove:edge=3,at=100;edge_add:edge=3,at=200;
 //                           node_leave:node=5,at=50;node_join:node=5,at=90;
 //                           nudge:node=2,at=10,din=1,dout=-1'
+//                          and so does random edge churn:
+//                          'random_churn:off=0.02,on=0.3[,protect=0/4/7]'
 //                          Schedules are strictly validated (duplicate
 //                          events, add-before-remove, join-before-leave,
 //                          nudges on departed nodes, and overlapping crash
@@ -158,7 +159,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--steps N] [--seed S] [--protocol NAME] "
                "[--loss P] [--arrival-scale F] [--arrival SPEC] [--matching] "
-               "[--churn P_OFF P_ON] [--faults SPEC] [--checkpoint FILE] "
+               "[--faults SPEC] [--checkpoint FILE] "
                "[--checkpoint-every N] [--resume FILE] [--generations N] "
                "[--max-recoveries N] [--recover] [--failpoints SPEC] "
                "[--csv FILE] "
@@ -232,7 +233,6 @@ int main(int argc, char** argv) {
   double arrival_scale = -1.0;
   std::string arrival_spec;
   bool matching = false;
-  double churn_off = -1.0, churn_on = -1.0;
   std::string faults_spec;
   std::string checkpoint_path;
   TimeStep checkpoint_every = 0;
@@ -294,9 +294,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--matching") {
       matching = true;
-    } else if (arg == "--churn") {
-      churn_off = parse_probability("--churn P_OFF", next("--churn"));
-      churn_on = parse_probability("--churn P_ON", next("--churn"));
     } else if (arg == "--faults") {
       faults_spec = next("--faults");
     } else if (arg == "--checkpoint") {
@@ -514,10 +511,6 @@ int main(int argc, char** argv) {
     }
     if (matching) {
       sim.set_scheduler(std::make_unique<core::GreedyMatchingScheduler>());
-    }
-    if (churn_off >= 0) {
-      sim.set_dynamics(
-          std::make_unique<core::RandomChurn>(churn_off, churn_on));
     }
     if (!fault_schedule.empty()) {
       // The injector's RNG stream derives from the master seed so faulted
