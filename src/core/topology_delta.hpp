@@ -1,9 +1,9 @@
 // The per-step churn summary handed from the fault injector to everyone
 // downstream (admission control, telemetry).
 //
-// Churn events (core/faults.hpp: edge_add/edge_remove/node_join/node_leave/
-// nudge) mutate the live topology and rate declarations at the top of a
-// step.  The injector records exactly what changed into a TopologyDelta so
+// Random edge churn and scheduled churn events (core/faults.hpp:
+// random_churn, edge_add/edge_remove/node_join/node_leave/nudge) mutate
+// the live topology and rate declarations at the top of a step.  The injector records exactly what changed into a TopologyDelta so
 // consumers can react in O(|delta|) instead of re-deriving the mutation by
 // diffing full snapshots: the admission governor patches its warm-started
 // feasibility certificate per entry, and the simulator emits one flight
@@ -18,8 +18,10 @@
 namespace lgg::core {
 
 struct TopologyDelta {
-  /// One edge whose churn-overlay activity flipped this step.  `active` is
-  /// the new state (false for edge_remove, true for edge_add).
+  /// One edge whose random-off or scheduled-removed bit flipped this step.
+  /// `active` is that source's new state (false for edge_remove and a
+  /// random failure, true for edge_add and a random recovery); the edge is
+  /// live only if no other source holds it down.
   struct EdgeChange {
     EdgeId edge = kInvalidEdge;
     bool active = true;

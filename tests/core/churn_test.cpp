@@ -320,7 +320,7 @@ TEST(Churn, MidChurnCheckpointResumeIsBitwiseIdentical) {
   auto first = build();
   first->run(kBreak);
   // Mid-churn: the mutated specs must round-trip through the v5 payload.
-  EXPECT_TRUE(first->faults()->churn_overlay_active());
+  EXPECT_FALSE(first->edge_mask().all_active());
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   first->save_checkpoint(blob);
 
