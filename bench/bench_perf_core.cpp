@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -36,15 +37,23 @@ class DiscardSink final : public obs::TelemetrySink {
 
 enum class TelemetryMode { kNone, kUnarmed, kArmed };
 
-/// One cell of the shard-engine scaling curve.
+/// One cell of the shard-engine scaling curve: medians and ranges over
+/// kScalingRounds runs.
 struct ScalingCell {
   NodeId nodes = 0;
   std::size_t threads = 0;
   TimeStep steps = 0;
-  double seconds = 0.0;
-  double node_steps_per_second = 0.0;
-  double speedup = 1.0;  ///< vs the serial engine on the same topology
+  double seconds = 0.0;                ///< median
+  double node_steps_per_second = 0.0;  ///< median
+  double node_steps_per_second_min = 0.0;
+  double node_steps_per_second_max = 0.0;
+  /// Median, over rounds, of the serial/threaded time ratio of the runs
+  /// made in the same round (1 for the serial row).
+  double speedup = 1.0;
+  double speedup_min = 1.0;
+  double speedup_max = 1.0;
 };
+constexpr int kScalingRounds = 5;
 
 /// Relay-heavy workload for the shard engine: a side×side grid with one
 /// source and one sink, every relay seeded with packets so selection (the
@@ -159,29 +168,51 @@ TraceOverhead measure_trace_overhead() {
 /// nodes × threads node-steps/second curve of the shard engine, with each
 /// cell's speedup over the serial engine on the same topology.  Reported
 /// only: no speedup is asserted, since the shard engine fans out selection
-/// alone and runs every other phase serially.
+/// alone and runs every other phase serially.  A single timing of a
+/// ~40 ms run spread about 2× on a shared host, so each row runs
+/// kScalingRounds rounds; a round runs the serial engine and every thread
+/// count once, in an order that reverses from round to round, and a cell's
+/// speedup is the median of its per-round paired ratios.
 std::vector<ScalingCell> measure_shard_scaling() {
+  constexpr std::size_t kThreads[] = {0, 1, 2, 4, 8};
+  constexpr std::size_t kCells = std::size(kThreads);
   std::vector<ScalingCell> cells;
   for (const NodeId side : {NodeId{64}, NodeId{128}, NodeId{256}}) {
     const NodeId n = side * side;
     // Fix total work per row: bigger networks take fewer steps.
     const auto steps =
         static_cast<TimeStep>(std::max<NodeId>(8, 262144 / n) * 8);
-    const double serial_seconds = measure_sharded_seconds(side, 0, steps);
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                      std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-      const double seconds =
-          threads == 0 ? serial_seconds
-                       : measure_sharded_seconds(side, threads, steps);
+    std::vector<double> seconds[kCells];
+    for (int round = 0; round < kScalingRounds; ++round) {
+      for (std::size_t k = 0; k < kCells; ++k) {
+        const std::size_t i = round % 2 == 0 ? k : kCells - 1 - k;
+        seconds[i].push_back(
+            measure_sharded_seconds(side, kThreads[i], steps));
+      }
+    }
+    for (std::size_t i = 0; i < kCells; ++i) {
+      std::vector<double> rate;
+      std::vector<double> speedup;
+      for (int round = 0; round < kScalingRounds; ++round) {
+        rate.push_back(static_cast<double>(n) * static_cast<double>(steps) /
+                       seconds[i][round]);
+        speedup.push_back(seconds[0][round] / seconds[i][round]);
+      }
       ScalingCell cell;
       cell.nodes = n;
-      cell.threads = threads;
+      cell.threads = kThreads[i];
       cell.steps = steps;
-      cell.seconds = seconds;
-      cell.node_steps_per_second =
-          static_cast<double>(n) * static_cast<double>(steps) / seconds;
-      cell.speedup = serial_seconds / seconds;
+      cell.seconds = median(seconds[i]);
+      cell.node_steps_per_second = median(rate);
+      const auto [rate_min, rate_max] =
+          std::minmax_element(rate.begin(), rate.end());
+      cell.node_steps_per_second_min = *rate_min;
+      cell.node_steps_per_second_max = *rate_max;
+      cell.speedup = median(speedup);
+      const auto [speedup_min, speedup_max] =
+          std::minmax_element(speedup.begin(), speedup.end());
+      cell.speedup_min = *speedup_min;
+      cell.speedup_max = *speedup_max;
       cells.push_back(cell);
     }
   }
@@ -285,14 +316,20 @@ void print_report() {
   // shards).  Relay-heavy topology with seeded queues, so the parallel
   // phases carry the step.
   const std::vector<ScalingCell> scaling = measure_shard_scaling();
-  std::printf("shard-engine scaling (node-steps/sec, speedup vs serial):\n");
-  std::printf("  %8s %8s %8s %14s %8s\n", "nodes", "threads", "steps",
-              "node-steps/s", "speedup");
+  std::printf(
+      "shard-engine scaling (medians of %d interleaved rounds, [min-max]; "
+      "speedup is the median paired ratio vs serial):\n",
+      kScalingRounds);
+  std::printf("  %8s %8s %8s %14s %23s %8s %15s\n", "nodes", "threads",
+              "steps", "node-steps/s", "[min-max]", "speedup", "[min-max]");
   for (const ScalingCell& cell : scaling) {
-    std::printf("  %8d %8zu %8lld %14.6g %7.2fx\n",
+    std::printf("  %8d %8zu %8lld %14.6g [%10.4g-%10.4g] %7.2fx "
+                "[%5.2f-%5.2f]\n",
                 static_cast<int>(cell.nodes), cell.threads,
                 static_cast<long long>(cell.steps),
-                cell.node_steps_per_second, cell.speedup);
+                cell.node_steps_per_second, cell.node_steps_per_second_min,
+                cell.node_steps_per_second_max, cell.speedup,
+                cell.speedup_min, cell.speedup_max);
   }
   std::printf("\n");
 
@@ -330,6 +367,8 @@ void print_report() {
     json.field("min_seconds_per_state", TraceOverhead::kMinSeconds);
     json.field("budget_pct", 2.0);
     json.end_object();
+    json.field("shard_scaling_rounds",
+               static_cast<std::int64_t>(kScalingRounds));
     json.begin_array("shard_scaling");
     for (const ScalingCell& cell : scaling) {
       json.begin_object();
@@ -338,7 +377,11 @@ void print_report() {
       json.field("steps", static_cast<std::int64_t>(cell.steps));
       json.field("seconds", cell.seconds);
       json.field("node_steps_per_second", cell.node_steps_per_second);
+      json.field("node_steps_per_second_min", cell.node_steps_per_second_min);
+      json.field("node_steps_per_second_max", cell.node_steps_per_second_max);
       json.field("speedup_vs_serial", cell.speedup);
+      json.field("speedup_vs_serial_min", cell.speedup_min);
+      json.field("speedup_vs_serial_max", cell.speedup_max);
       json.end_object();
     }
     json.end_array();
