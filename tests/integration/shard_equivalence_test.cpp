@@ -516,6 +516,79 @@ TEST(ShardEquivalence, ContractBreachLeavesCountersTrueToQueues) {
   }
 }
 
+/// Every node with packets sends all of them towards its higher-id
+/// neighbour, then node 0 — which nobody sends to — sends once more from
+/// its drained queue, so the throw comes after a run of deliveries and
+/// losses.
+class OverdrawProtocol final : public core::RoutingProtocol {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "overdraw"; }
+  void select_transmissions(const core::StepView& view, Rng&,
+                            std::vector<core::Transmission>& out) override {
+    const graph::Multigraph& g = view.net->topology();
+    EdgeId first_link = kInvalidEdge;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      for (const graph::IncidentLink link : g.incident(u)) {
+        if (link.neighbor <= u) continue;
+        if (u == 0) first_link = link.edge;
+        for (PacketCount k = 0; k < view.queue[static_cast<std::size_t>(u)];
+             ++k) {
+          out.push_back({link.edge, u, link.neighbor});
+        }
+        break;
+      }
+    }
+    out.push_back({first_link, 0, 1});
+  }
+};
+
+TEST(ShardEquivalence, ArmedContractBreachLeavesDriftSettled) {
+  // The armed variant of ContractBreachLeavesCountersTrueToQueues: when
+  // the loss-apply pass throws, the drift attribution must already cover
+  // every mutation applied before it.  Per node, the step's contributions
+  // telescope to q_now² − q_start²; per cause, the node rows sum to the
+  // step's by-cause totals.
+  const core::SdNetwork net = core::scenarios::single_path(6);
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::SimulatorOptions options;
+    options.seed = 0xB4EAC;
+    core::Simulator sim(net, options, std::make_unique<OverdrawProtocol>());
+    sim.set_loss(std::make_unique<core::BernoulliLoss>(0.3));
+    for (NodeId v = 0; v < net.node_count(); ++v) {
+      sim.set_initial_queue(v, 3 + v);
+    }
+    if (shards > 1) sim.enable_sharding(shards, 2);
+    obs::TelemetryOptions topts;
+    topts.flight_capacity = 16;
+    topts.hotspot_k = 2;
+    obs::Telemetry telemetry(topts);
+    sim.set_telemetry(&telemetry);
+    const std::vector<PacketCount> start(sim.queues().begin(),
+                                         sim.queues().end());
+    EXPECT_THROW(sim.step(), ContractViolation);
+    const obs::DriftAttributor& drift = telemetry.drift();
+    std::int64_t dp = 0;
+    for (std::size_t v = 0; v < start.size(); ++v) {
+      const std::int64_t now = sim.queues()[v];
+      const std::int64_t want = now * now - start[v] * start[v];
+      EXPECT_EQ(drift.node_drift(static_cast<NodeId>(v)), want) << v;
+      dp += want;
+    }
+    EXPECT_EQ(drift.step_drift(), dp);
+    for (std::size_t c = 0; c < obs::kDriftCauseCount; ++c) {
+      const auto cause = static_cast<obs::DriftCause>(c);
+      std::int64_t rows = 0;
+      for (NodeId v = 0; v < net.node_count(); ++v) {
+        rows += drift.node_drift(v, cause);
+      }
+      EXPECT_EQ(rows, drift.step_drift(cause)) << obs::to_string(cause);
+    }
+    EXPECT_NE(drift.step_drift(obs::DriftCause::kForwarding), 0);
+    EXPECT_NE(drift.step_drift(obs::DriftCause::kLoss), 0);
+  }
+}
+
 TEST(ShardEquivalence, OldCheckpointVersionRejectedByName) {
   // Satellite 3: v3 (serialized RNG stream) blobs are not silently
   // misread — the error names both the found and the expected version.

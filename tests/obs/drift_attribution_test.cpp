@@ -186,5 +186,139 @@ TEST(DriftAttribution, StatefulComponentStackStaysExact) {
   }
 }
 
+/// Replays every step literally, one queue mutation at a time, from the
+/// StepRecord and the previous step's end state: wipes take the start
+/// queue to before_injection, injections take it to at_selection, the kept
+/// transmissions fire in list order (a lost packet's sender decrement is
+/// kLoss, a delivered packet's two moves kForwarding), and extraction takes
+/// the result to after_step.  Each move's δ(2q+δ) lands on (node, cause);
+/// the attributor must report exactly those sums for every node and cause.
+class MutationReplay final : public core::StepObserver {
+ public:
+  MutationReplay(const obs::DriftAttributor& drift,
+                 std::span<const PacketCount> start)
+      : drift_(drift), start_(start.begin(), start.end()) {}
+
+  void on_step(const core::StepRecord& r) override {
+    const std::size_t n = start_.size();
+    std::vector<std::int64_t> want(n * obs::kDriftCauseCount, 0);
+    const auto add = [&](std::size_t v, obs::DriftCause cause,
+                         std::int64_t from, std::int64_t to) {
+      want[v * obs::kDriftCauseCount + static_cast<std::size_t>(cause)] +=
+          to * to - from * from;
+    };
+    for (std::size_t v = 0; v < n; ++v) {
+      add(v, obs::DriftCause::kCrashWiped, start_[v], r.before_injection[v]);
+      add(v, obs::DriftCause::kInjection, r.before_injection[v],
+          r.at_selection[v]);
+    }
+    std::vector<PacketCount> q(r.at_selection.begin(), r.at_selection.end());
+    for (std::size_t i = 0; i < r.transmissions.size(); ++i) {
+      if (!r.kept[i]) continue;
+      const auto from = static_cast<std::size_t>(r.transmissions[i].from);
+      const auto to = static_cast<std::size_t>(r.transmissions[i].to);
+      add(from,
+          r.lost[i] ? obs::DriftCause::kLoss : obs::DriftCause::kForwarding,
+          q[from], q[from] - 1);
+      --q[from];
+      if (r.lost[i]) continue;
+      add(to, obs::DriftCause::kForwarding, q[to], q[to] + 1);
+      ++q[to];
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      ASSERT_LE(r.after_step[v], q[v]) << "node " << v << " at t=" << r.t;
+      add(v, obs::DriftCause::kExtraction, q[v], r.after_step[v]);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      for (const obs::DriftCause cause : kAllCauses) {
+        ASSERT_EQ(drift_.node_drift(static_cast<NodeId>(v), cause),
+                  want[v * obs::kDriftCauseCount +
+                       static_cast<std::size_t>(cause)])
+            << "node " << v << " cause " << obs::to_string(cause)
+            << " at t=" << r.t;
+      }
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      lost_dp_ += want[v * obs::kDriftCauseCount +
+                       static_cast<std::size_t>(obs::DriftCause::kLoss)];
+      wiped_dp_ += want[v * obs::kDriftCauseCount +
+                        static_cast<std::size_t>(obs::DriftCause::kCrashWiped)];
+    }
+    start_.assign(r.after_step.begin(), r.after_step.end());
+    ++steps_;
+  }
+
+  [[nodiscard]] TimeStep steps() const { return steps_; }
+  [[nodiscard]] std::int64_t lost_dp() const { return lost_dp_; }
+  [[nodiscard]] std::int64_t wiped_dp() const { return wiped_dp_; }
+
+ private:
+  const obs::DriftAttributor& drift_;
+  std::vector<PacketCount> start_;
+  TimeStep steps_ = 0;
+  std::int64_t lost_dp_ = 0;
+  std::int64_t wiped_dp_ = 0;
+};
+
+TEST(DriftAttribution, PerCauseSplitMatchesPerMutationReplay) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<core::LossModel> (*loss)();
+    bool wipes;
+  };
+  const Case cases[] = {
+      {"bernoulli0.2",
+       []() -> std::unique_ptr<core::LossModel> {
+         return std::make_unique<core::BernoulliLoss>(0.2);
+       },
+       false},
+      {"periodic3",
+       []() -> std::unique_ptr<core::LossModel> {
+         return std::make_unique<core::PeriodicLoss>(3);
+       },
+       false},
+      {"bernoulli0.2+wipes",
+       []() -> std::unique_ptr<core::LossModel> {
+         return std::make_unique<core::BernoulliLoss>(0.2);
+       },
+       true},
+  };
+  for (const Case& c : cases) {
+    for (const std::uint32_t shards : {1u, 2u}) {
+      SCOPED_TRACE(std::string(c.name) + " shards=" + std::to_string(shards));
+      // 150 nodes span three touched-set words.
+      const core::SdNetwork net =
+          core::scenarios::random_unsaturated(150, 600, 3, 3, 41);
+      core::SimulatorOptions options;
+      options.seed = 0xD21F7;
+      core::Simulator sim(net, options);
+      sim.set_arrival(std::make_unique<core::BernoulliArrival>(0.9));
+      sim.set_loss(c.loss());
+      if (c.wipes) {
+        core::FaultSchedule schedule;
+        schedule.set_random_crashes({0.01, 2, 6, core::CrashMode::kWipe});
+        sim.set_faults(std::make_unique<core::FaultInjector>(schedule, 0xFA));
+      }
+      if (shards > 1) sim.enable_sharding(shards, 2);
+      obs::TelemetryOptions topts;
+      topts.flight_capacity = 16;
+      topts.hotspot_k = 4;
+      obs::Telemetry telemetry(topts);
+      sim.set_telemetry(&telemetry);
+      MutationReplay replay(telemetry.drift(), sim.queues());
+      sim.set_observer(&replay);
+      for (TimeStep t = 0; t < kHorizon; ++t) {
+        sim.step();
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_EQ(replay.steps(), kHorizon);
+      EXPECT_LT(replay.lost_dp(), 0);  // losses did fire
+      if (c.wipes) {
+        EXPECT_LT(replay.wiped_dp(), 0);  // and so did wipes
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lgg
