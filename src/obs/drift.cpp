@@ -26,19 +26,30 @@ void DriftAttributor::bind(NodeId node_count) {
   node_count_ = node_count;
   per_node_.assign(n * kDriftCauseCount, 0);
   touched_.bind(n);
+  recorded_.clear();
   for (auto& c : by_cause_step_) c = 0;
   for (auto& c : by_cause_total_) c = 0;
 }
 
 void DriftAttributor::begin_step() {
-  for_each_touched([this](NodeId v) {
+  // Only record() writes the causes other than forwarding, so only its
+  // nodes need their rows zeroed: settle() rewrites every touched node's
+  // forwarding row, and the accessors read untouched nodes as zero.
+  for (const NodeId v : recorded_) {
     const auto i = static_cast<std::size_t>(v);
     for (std::size_t c = 0; c < kDriftCauseCount; ++c) {
       per_node_[i * kDriftCauseCount + c] = 0;
     }
-  });
+  }
+  recorded_.clear();
+  touched_.gather();  // drops what a step that threw before settle() staged
   touched_.clear();
   for (auto& c : by_cause_step_) c = 0;
+}
+
+void DriftAttributor::settle(std::span<const PacketCount> queue,
+                             std::span<const PacketCount> at_selection) {
+  settle(queue, at_selection, [](NodeId, std::int64_t, PacketCount) {});
 }
 
 std::int64_t DriftAttributor::step_drift() const {

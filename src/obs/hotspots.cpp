@@ -197,10 +197,6 @@ void HotspotTracker::close_window() {
   window_.clear();
 }
 
-void HotspotTracker::observe_occupancy(PacketCount queue) {
-  occupancy_->observe(static_cast<double>(queue));
-}
-
 namespace {
 
 void write_entries(JsonWriter& json, std::string_view key,

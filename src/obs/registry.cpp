@@ -1,7 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/binio.hpp"
@@ -17,41 +15,6 @@ std::string_view to_string(MetricKind kind) {
     case MetricKind::kHistogram: return "histogram";
   }
   return "?";
-}
-
-void Histogram::observe(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    if (value < min_) min_ = value;
-    if (value > max_) max_ = value;
-  }
-  ++count_;
-  sum_ += value;
-  std::size_t bucket = 0;
-  if (value > 0.0) {
-    // Bucket i covers (2^(i-2), 2^(i-1)]: ceil of log2, offset by one for
-    // the value <= 0 bucket.  Read off the bits: a positive double is
-    // 2^(e-1023) · 1.m, so ceil(log2) is e - 1023, plus one unless the
-    // mantissa is zero.  Subnormals (e = 0) and +inf (e = 2047) land in
-    // the first and last bucket through the clamp, as ilogb would put them.
-    const auto bits = std::bit_cast<std::uint64_t>(value);
-    const auto biased = static_cast<long>(bits >> 52);
-    const long mantissa_nonzero = (bits & ((std::uint64_t{1} << 52) - 1)) != 0;
-    const long ceil_log2 = biased - 1023 + mantissa_nonzero;
-    bucket = static_cast<std::size_t>(
-        std::clamp(ceil_log2 + 1, 1L, static_cast<long>(kBuckets - 1)));
-  }
-  ++buckets_[bucket];
-}
-
-void Histogram::reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  for (auto& b : buckets_) b = 0;
 }
 
 MetricRegistry::Entry& MetricRegistry::find_or_create(std::string_view name,
@@ -161,12 +124,12 @@ void MetricRegistry::save_state(std::ostream& os) const {
         binio::write_f64(os, e.gauge->value());
         break;
       case MetricKind::kHistogram: {
-        const Histogram& h = *e.histogram;
-        binio::write_u64(os, h.count_);
-        binio::write_f64(os, h.sum_);
-        binio::write_f64(os, h.min_);
-        binio::write_f64(os, h.max_);
-        for (const std::uint64_t b : h.buckets_) binio::write_u64(os, b);
+        const Histogram::State& h = e.histogram->state();
+        binio::write_u64(os, h.count);
+        binio::write_f64(os, h.sum);
+        binio::write_f64(os, h.min);
+        binio::write_f64(os, h.max);
+        for (const std::uint64_t b : h.buckets) binio::write_u64(os, b);
         break;
       }
     }
@@ -199,12 +162,13 @@ void MetricRegistry::load_state(std::istream& is) {
         e.gauge->set(binio::read_f64(is));
         break;
       case MetricKind::kHistogram: {
-        Histogram& h = *e.histogram;
-        h.count_ = binio::read_u64(is);
-        h.sum_ = binio::read_f64(is);
-        h.min_ = binio::read_f64(is);
-        h.max_ = binio::read_f64(is);
-        for (auto& b : h.buckets_) b = binio::read_u64(is);
+        Histogram::State h;
+        h.count = binio::read_u64(is);
+        h.sum = binio::read_f64(is);
+        h.min = binio::read_f64(is);
+        h.max = binio::read_f64(is);
+        for (auto& b : h.buckets) b = binio::read_u64(is);
+        e.histogram->set_state(h);
         break;
       }
     }

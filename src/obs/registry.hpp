@@ -20,6 +20,8 @@
 // profiler and observer hooks.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -66,24 +68,63 @@ class Histogram {
  public:
   static constexpr std::size_t kBuckets = 48;
 
-  void observe(double value);
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
+  /// Everything a histogram holds.  A batched feed copies it into a local,
+  /// observes into the copy and writes it back once with set_state, so
+  /// count, sum, min and max stay out of memory for the whole batch; the
+  /// double operations run in the order per-value observe calls would run
+  /// them, so the result is bit-identical.
+  struct State {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::uint64_t buckets[kBuckets] = {};
+
+    void observe(double value);
+  };
+
+  void observe(double value) { state_.observe(value); }
+  [[nodiscard]] std::uint64_t count() const { return state_.count; }
+  [[nodiscard]] double sum() const { return state_.sum; }
+  [[nodiscard]] double min() const { return state_.min; }
+  [[nodiscard]] double max() const { return state_.max; }
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i];
+    return state_.buckets[i];
   }
-  void reset();
+  [[nodiscard]] const State& state() const { return state_; }
+  void set_state(const State& state) { state_ = state; }
+  void reset() { state_ = State{}; }
 
  private:
-  friend class MetricRegistry;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t buckets_[kBuckets] = {};
+  State state_;
 };
+
+inline void Histogram::State::observe(double value) {
+  if (count == 0) {
+    min = value;
+    max = value;
+  } else {
+    if (value < min) min = value;
+    if (value > max) max = value;
+  }
+  ++count;
+  sum += value;
+  std::size_t bucket = 0;
+  if (value > 0.0) {
+    // Bucket i covers (2^(i-2), 2^(i-1)]: ceil of log2, offset by one for
+    // the value <= 0 bucket.  Read off the bits: a positive double is
+    // 2^(e-1023) · 1.m, so ceil(log2) is e - 1023, plus one unless the
+    // mantissa is zero.  Subnormals (e = 0) and +inf (e = 2047) land in
+    // the first and last bucket through the clamp, as ilogb would put them.
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const auto biased = static_cast<long>(bits >> 52);
+    const long mantissa_nonzero = (bits & ((std::uint64_t{1} << 52) - 1)) != 0;
+    const long ceil_log2 = biased - 1023 + mantissa_nonzero;
+    bucket = static_cast<std::size_t>(
+        std::clamp(ceil_log2 + 1, 1L, static_cast<long>(kBuckets - 1)));
+  }
+  ++buckets[bucket];
+}
 
 class MetricRegistry {
  public:

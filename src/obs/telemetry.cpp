@@ -99,23 +99,29 @@ void Telemetry::end_step(const StepSample& sample) {
     slack_growth_->set(bounds_->growth - static_cast<double>(dp));
     slack_state_->set(bounds_->state - sample.potential);
   }
+  // One ascending walk over the step's touched nodes settles their
+  // forwarding rows and, with hotspots on, feeds each node's drift and
+  // queue to the window sums and the occupancy histogram.  The ascending
+  // order makes the feed a function of the touched set alone, so the
+  // window sums, the sketch state and every "hotspots" line are identical
+  // across shard and thread counts.
+  LGG_REQUIRE(sample.queues.size() == static_cast<std::size_t>(node_count_) &&
+                  sample.at_selection.size() == sample.queues.size(),
+              "Telemetry::end_step: both queue views must cover every node");
   if (hotspots_ != nullptr) {
-    // Feed the exact touched set in ascending node order.  The serial
-    // engine discovers nodes in phase order and the shard engine in
-    // shard-fold order; the ascending walk erases that difference, so the
-    // window sums, the sketch state and every "hotspots" line are
-    // identical across shard and thread counts.
-    drift_.for_each_touched([&](NodeId v) {
-      const auto i = static_cast<std::size_t>(v);
-      const PacketCount queue =
-          i < sample.queues.size() ? sample.queues[i] : 0;
-      hotspots_->observe(v, drift_.node_drift(v), queue);
-    });
+    HotspotTracker::Feed feed = hotspots_->feed();
+    drift_.settle(sample.queues, sample.at_selection,
+                  [&feed](NodeId v, std::int64_t node_dp, PacketCount queue) {
+                    feed.observe(v, node_dp, queue);
+                  });
+    feed.finish();
     // The window closes on the snapshot cadence whether or not a sink is
     // attached, so the sketches never depend on where the stream goes.
     if ((sample.t + 1) % options_.snapshot_every == 0) {
       hotspots_->close_window();
     }
+  } else {
+    drift_.settle(sample.queues, sample.at_selection);
   }
   if (snapshot_due(sample.t)) emit_snapshot(sample);
 }

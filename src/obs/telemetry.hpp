@@ -11,13 +11,16 @@
 //     neither a sink nor a flight recorder there is nothing to feed, so
 //     the hot path stays byte-for-byte the unobserved one (the
 //     telemetry-overhead row of bench_perf_core proves it);
-//   * armed                           — drift attribution per queue
-//     mutation, counter/gauge updates per step, and a JSONL snapshot of
-//     every registered metric each snapshot_every steps.  With hotspot_k
-//     set, each step also adds the touched nodes' weights to per-node
-//     window sums (O(touched)), and every snapshot_every steps — with or
-//     without a sink — the window closes into the two top-K sketches
-//     (O(window-touched · log K); obs/hotspots.hpp).
+//   * armed                           — drift attribution per phase
+//     (obs/drift.hpp: injection, loss, extraction and wipes per mutation,
+//     forwarding as one phase sum plus a per-node settle), counter/gauge
+//     updates per step, and a JSONL snapshot of every registered metric
+//     each snapshot_every steps.  end_step walks the touched nodes once:
+//     the walk settles their drift and, with hotspot_k set, adds their
+//     weights to per-node window sums and the occupancy histogram
+//     (O(touched)).  Every snapshot_every steps — with or without a sink —
+//     the window closes into the two top-K sketches (O(window-touched ·
+//     log K); obs/hotspots.hpp).
 //
 // Snapshots carry the per-node drift decomposition of ΔP_t and, when
 // set_lemma1_bounds was called, live "bound-slack" gauges:
@@ -107,9 +110,12 @@ struct StepSample {
   std::int64_t extracted = 0;
   std::int64_t crash_wiped = 0;
   std::int64_t shed = 0;  ///< offered but refused by admission control
-  /// Post-step queue view (set by the simulator every step; read only
-  /// when hotspot analytics are enabled).  Valid during end_step only.
+  /// Post-step queues, one per node.  Valid during end_step only.
   std::span<const PacketCount> queues;
+  /// Post-injection queues q_t, one per node, from which end_step settles
+  /// each touched node's forwarding drift (DriftAttributor::settle).
+  /// Valid during end_step only.
+  std::span<const PacketCount> at_selection;
 };
 
 class Telemetry {

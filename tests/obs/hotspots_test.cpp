@@ -166,13 +166,21 @@ TEST(SpaceSaving, LoadRejectsMismatchedK) {
   EXPECT_THROW(wrong.load_state(blob), std::runtime_error);
 }
 
+/// One node's observation as a one-node step of the tracker's feed.
+void observe(obs::HotspotTracker& tracker, NodeId v, std::int64_t drift,
+             PacketCount queue) {
+  obs::HotspotTracker::Feed feed = tracker.feed();
+  feed.observe(v, drift, queue);
+  feed.finish();
+}
+
 TEST(HotspotTracker, OnlyPositiveDriftAndNonEmptyQueuesAccumulate) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(3, registry);
   tracker.bind(16);
-  tracker.observe(0, -5, 0);  // draining node, empty after the step
-  tracker.observe(1, 7, 2);
-  tracker.observe(2, 0, 4);
+  observe(tracker, 0, -5, 0);  // draining node, empty after the step
+  observe(tracker, 1, 7, 2);
+  observe(tracker, 2, 0, 4);
   // Observations only accumulate in the window; the sketches see them
   // when it closes.
   EXPECT_EQ(tracker.drift_sketch().total_weight(), 0u);
@@ -194,9 +202,9 @@ TEST(HotspotTracker, WindowSumsReachTheSketchAsOneUpdatePerNode) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(1, registry);
   tracker.bind(8);
-  tracker.observe(5, 4, 1);
-  tracker.observe(3, -2, 0);
-  tracker.observe(5, 6, 2);
+  observe(tracker, 5, 4, 1);
+  observe(tracker, 3, -2, 0);
+  observe(tracker, 5, 6, 2);
   tracker.close_window();
   const auto drift = tracker.drift_sketch().top();
   const auto queue = tracker.queue_sketch().top();
@@ -217,7 +225,7 @@ TEST(HotspotTracker, SummaryFoldsThePendingWindowIntoACopy) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
   tracker.bind(16);
-  tracker.observe(7, 12, 5);
+  observe(tracker, 7, 12, 5);
   const std::string table = tracker.summary_table();
   EXPECT_NE(table.find("total weight 12"), std::string::npos) << table;
   EXPECT_NE(table.find("total weight 5"), std::string::npos) << table;
@@ -233,10 +241,10 @@ TEST(HotspotTracker, PendingWindowRoundTripsAndBadEntriesAreRejected) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
   tracker.bind(16);
-  tracker.observe(1, 3, 2);
+  observe(tracker, 1, 3, 2);
   tracker.close_window();
-  tracker.observe(9, 8, 4);
-  tracker.observe(12, 0, 6);
+  observe(tracker, 9, 8, 4);
+  observe(tracker, 12, 0, 6);
   std::ostringstream saved(std::ios::binary);
   tracker.save_state(saved);
 
@@ -244,7 +252,7 @@ TEST(HotspotTracker, PendingWindowRoundTripsAndBadEntriesAreRejected) {
   obs::MetricRegistry twin_registry;
   obs::HotspotTracker twin(2, twin_registry);
   twin.bind(16);
-  twin.observe(15, 1, 1);
+  observe(twin, 15, 1, 1);
   {
     std::istringstream is(saved.str(), std::ios::binary);
     twin.load_state(is);
@@ -285,8 +293,8 @@ TEST(HotspotTracker, SnapshotLineCarriesTheSchema) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
   tracker.bind(16);
-  tracker.observe(4, 10, 3);
-  tracker.observe(9, 5, 1);
+  observe(tracker, 4, 10, 3);
+  observe(tracker, 9, 5, 1);
   tracker.close_window();
   obs::JsonWriter json;
   tracker.write_snapshot(json, 17, 170);
@@ -304,7 +312,7 @@ TEST(HotspotTracker, SummaryTableListsBothSketches) {
   obs::MetricRegistry registry;
   obs::HotspotTracker tracker(2, registry);
   tracker.bind(16);
-  tracker.observe(1, 3, 2);
+  observe(tracker, 1, 3, 2);
   const std::string table = tracker.summary_table();
   EXPECT_NE(table.find("top-K positive drift"), std::string::npos);
   EXPECT_NE(table.find("top-K queue occupancy"), std::string::npos);
