@@ -472,7 +472,35 @@ std::string to_string(const FaultSchedule& schedule) {
 }
 
 FaultInjector::FaultInjector(FaultSchedule schedule, std::uint64_t seed)
-    : schedule_(std::move(schedule)), rng_(seed) {}
+    : schedule_(std::move(schedule)), rng_(seed) {
+  const std::vector<FaultEvent>& events = schedule_.events();
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    const FaultKind kind = events[i].kind;
+    if (is_churn(kind)) {
+      churn_starts_.push_back(i);
+    } else if (kind == FaultKind::kCrash) {
+      crash_starts_.push_back(i);
+    } else {
+      windowed_.push_back(i);
+    }
+  }
+  const auto by_start = [&events](std::uint32_t a, std::uint32_t b) {
+    return events[a].at < events[b].at;
+  };
+  std::stable_sort(churn_starts_.begin(), churn_starts_.end(), by_start);
+  std::stable_sort(crash_starts_.begin(), crash_starts_.end(), by_start);
+}
+
+std::span<const std::uint32_t> FaultInjector::starting_at(
+    const std::vector<std::uint32_t>& starts, TimeStep t) const {
+  const std::vector<FaultEvent>& events = schedule_.events();
+  const auto first = std::partition_point(
+      starts.begin(), starts.end(),
+      [&](std::uint32_t i) { return events[i].at < t; });
+  const auto last = std::partition_point(
+      first, starts.end(), [&](std::uint32_t i) { return events[i].at == t; });
+  return {first, last};
+}
 
 void FaultInjector::size_to(const SdNetwork& net) {
   ensure_sized(net.node_count());
@@ -528,13 +556,14 @@ bool FaultInjector::apply_random_churn(Rng& rng, TopologyDelta& delta) {
 bool FaultInjector::apply_churn(TimeStep t, SdNetwork& net,
                                 TopologyDelta& delta,
                                 const std::function<void(NodeId)>& wipe) {
-  if (!schedule_.has_churn_events()) return false;
+  const std::span<const std::uint32_t> firing = starting_at(churn_starts_, t);
+  if (firing.empty()) return false;
   ensure_sized(net.node_count());
   ensure_edges(net.topology().edge_count());
   const std::size_t before = delta.edges.size() + delta.rates.size() +
                              delta.joined.size() + delta.left.size();
-  for (const FaultEvent& e : schedule_.events()) {
-    if (!is_churn(e.kind) || e.at != t) continue;
+  for (const std::uint32_t index : firing) {
+    const FaultEvent& e = schedule_.events()[index];
     switch (e.kind) {
       case FaultKind::kEdgeRemove: {
         auto& bits = edge_off_[static_cast<std::size_t>(e.edge)];
@@ -627,28 +656,27 @@ bool FaultInjector::node_departed(NodeId v) const {
   return i < departed_.size() && departed_[i] != 0;
 }
 
-FaultInjector::StepEffects FaultInjector::begin_step(
-    TimeStep t, const SdNetwork& net,
-    const std::function<void(NodeId)>& wipe) {
+bool FaultInjector::begin_step(TimeStep t, const SdNetwork& net,
+                               const std::function<void(NodeId)>& wipe) {
   ensure_sized(net.node_count());
-  StepEffects effects;
+  bool down_set_changed = false;
 
   const auto crash = [&](NodeId v, TimeStep until, CrashMode mode) {
     auto& down = down_until_[static_cast<std::size_t>(v)];
     if (down > t) {
       // Already down: overlapping windows extend the outage.
       down = std::max(down, until);
-      return;
+    } else {
+      down = until;
+      if (mode == CrashMode::kWipe) wipe(v);
     }
-    down = until;
-    if (mode == CrashMode::kWipe) wipe(v);
+    latest_down_until_ = std::max(latest_down_until_, down);
   };
 
-  // Scheduled events starting at t.
-  for (const FaultEvent& e : schedule_.events()) {
-    if (e.kind == FaultKind::kCrash && e.at == t) {
-      crash(e.node, window_end(e.at, e.duration), e.mode);
-    }
+  // Scheduled crashes starting at t.
+  for (const std::uint32_t index : starting_at(crash_starts_, t)) {
+    const FaultEvent& e = schedule_.events()[index];
+    crash(e.node, window_end(e.at, e.duration), e.mode);
   }
 
   // Random crashes: iterate nodes in a fixed order on the injector's own
@@ -667,17 +695,21 @@ FaultInjector::StepEffects FaultInjector::begin_step(
   }
 
   // Refresh the down set (covers recoveries: down_until <= t means up).
+  // With no node down and none down past t, every node stays up.
   went_down_.clear();
   came_up_.clear();
-  for (std::size_t v = 0; v < down_now_.size(); ++v) {
-    const char now = down_until_[v] > t ? 1 : 0;
-    if (now != down_now_[v]) {
+  if (down_count_ > 0 || latest_down_until_ > t) {
+    for (std::size_t v = 0; v < down_now_.size(); ++v) {
+      const char now = down_until_[v] > t ? 1 : 0;
+      if (now == down_now_[v]) continue;
       down_now_[v] = now;
-      effects.down_set_changed = true;
+      down_set_changed = true;
       if (now) {
+        ++down_count_;
         went_down_.push_back(static_cast<NodeId>(v));
         if (crashes_counter_ != nullptr) crashes_counter_->add(1);
       } else {
+        --down_count_;
         came_up_.push_back(static_cast<NodeId>(v));
         if (recoveries_counter_ != nullptr) recoveries_counter_->add(1);
       }
@@ -690,15 +722,12 @@ FaultInjector::StepEffects FaultInjector::begin_step(
   for (const NodeId v : out_nodes_) sink_out_[static_cast<std::size_t>(v)] = 0;
   out_nodes_.clear();
   byz_active_.clear();
-  for (const FaultEvent& e : schedule_.events()) {
-    // Churn events are instantaneous mutations handled by apply_churn, not
-    // windowed effects (their default duration of -1 would otherwise read
-    // as forever).
-    if (is_churn(e.kind)) continue;
+  // Churn events are instantaneous mutations handled by apply_churn and
+  // crashes act only at their start (above), so neither is in windowed_.
+  for (const std::uint32_t index : windowed_) {
+    const FaultEvent& e = schedule_.events()[index];
     if (!window_active(e, t)) continue;
     switch (e.kind) {
-      case FaultKind::kCrash:
-        break;
       case FaultKind::kSinkOutage:
         if (!sink_out_[static_cast<std::size_t>(e.node)]) {
           sink_out_[static_cast<std::size_t>(e.node)] = 1;
@@ -716,12 +745,11 @@ FaultInjector::StepEffects FaultInjector::begin_step(
           byz_active_.emplace_back(e.node, e.declare);
         }
         break;
-      default:  // churn kinds: skipped above
+      default:  // churn and crash kinds are not in windowed_
         break;
     }
   }
-  effects.any_byzantine = !byz_active_.empty();
-  return effects;
+  return down_set_changed;
 }
 
 bool FaultInjector::node_down(NodeId v) const {
@@ -808,6 +836,8 @@ void FaultInjector::load_state(std::istream& is) {
   };
   std::fill(down_until_.begin(), down_until_.end(), TimeStep{0});
   std::fill(down_now_.begin(), down_now_.end(), char{0});
+  down_count_ = 0;
+  latest_down_until_ = 0;
   const std::uint32_t down_count = binio::read_u32(is);
   for (std::uint32_t i = 0; i < down_count; ++i) {
     const std::size_t v = node_index(binio::read_i64(is));
@@ -815,6 +845,10 @@ void FaultInjector::load_state(std::istream& is) {
     const std::uint8_t now = binio::read_u8(is);
     down_until_[v] = until;
     down_now_[v] = static_cast<char>(now != 0 ? 1 : 0);
+  }
+  for (std::size_t v = 0; v < down_now_.size(); ++v) {
+    down_count_ += down_now_[v] != 0 ? 1 : 0;
+    latest_down_until_ = std::max(latest_down_until_, down_until_[v]);
   }
   std::istringstream engine(binio::read_string(is));
   engine >> rng_.engine();

@@ -68,6 +68,7 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -218,16 +219,14 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultSchedule schedule, std::uint64_t seed = 0xFA);
 
-  struct StepEffects {
-    bool down_set_changed = false;  ///< membership changed at this step
-    bool any_byzantine = false;     ///< ≥ 1 corrupted declaration
-  };
-
   /// Applies start-of-step transitions for step t (monotonically increasing
   /// across calls except after load_state).  `wipe` is invoked once for
   /// every node whose queue must be destroyed by a wipe-mode crash.
-  StepEffects begin_step(TimeStep t, const SdNetwork& net,
-                         const std::function<void(NodeId)>& wipe);
+  /// Returns true when the down set changed at this step.  Costs
+  /// O(log events + events starting at t + windowed events), plus O(n)
+  /// while a node is down or a crash is pending.
+  bool begin_step(TimeStep t, const SdNetwork& net,
+                  const std::function<void(NodeId)>& wipe);
 
   /// Fires the churn events scheduled at step t, mutating `net`'s specs
   /// (node_leave/node_join/nudge) and the injector's edge/departure
@@ -235,7 +234,7 @@ class FaultInjector {
   /// clears).  `wipe` destroys a departing node's queue, accounted exactly
   /// like a wipe-mode crash.  Call before begin_step(t, ...) so the step's
   /// windowed effects see the post-churn roles.  Returns true if anything
-  /// changed.  Draws from no RNG.
+  /// changed.  Draws from no RNG; costs O(log events + events at t).
   bool apply_churn(TimeStep t, SdNetwork& net, TopologyDelta& delta,
                    const std::function<void(NodeId)>& wipe);
 
@@ -308,13 +307,34 @@ class FaultInjector {
   void ensure_sized(NodeId n);
   void ensure_edges(EdgeId n);
 
+  /// The events of `starts` (indices into the schedule, sorted by step)
+  /// that start at step t, in schedule order.
+  [[nodiscard]] std::span<const std::uint32_t> starting_at(
+      const std::vector<std::uint32_t>& starts, TimeStep t) const;
+
   FaultSchedule schedule_;
   Rng rng_;
+
+  // Derived from the schedule at construction, never checkpointed: the
+  // schedule is fixed for the injector's life and the lookups keep no
+  // cursor, so a restore needs nothing rebuilt.  Churn and crash events
+  // by start step (stable, so ties keep schedule order), and the windowed
+  // kinds begin_step rescans each step (outages, surges, Byzantine), in
+  // schedule order.
+  std::vector<std::uint32_t> churn_starts_;
+  std::vector<std::uint32_t> crash_starts_;
+  std::vector<std::uint32_t> windowed_;
 
   // Per-node cross-step state: 0 = up, otherwise down until this step
   // (exclusive); kForever for open-ended crashes.
   std::vector<TimeStep> down_until_;
   std::vector<char> down_now_;
+  // Derived from the two above (rebuilt by load_state): nodes with
+  // down_now_ set, and the largest down_until_.  While the first is 0 and
+  // the second is at most t, no node is down or can go down at t, so
+  // begin_step skips its O(n) down-set refresh.
+  std::size_t down_count_ = 0;
+  TimeStep latest_down_until_ = 0;
 
   // Per-edge reason bits (cross-step, checkpointed): kRandomOff from
   // random churn, kScheduledOff from edge_remove.  Then nodes currently

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "common/require.hpp"
 #include "core/scenarios.hpp"
@@ -253,6 +255,95 @@ TEST(FaultInjector, StateRoundTripsThroughSaveLoad) {
     b.begin_step(t, net, no_wipe);
     for (NodeId v = 0; v < net.node_count(); ++v) {
       ASSERT_EQ(a.node_down(v), b.node_down(v)) << "t=" << t << " v=" << v;
+    }
+  }
+}
+
+TEST(FaultInjector, EventsFireAtTheirStepInScheduleOrder) {
+  // The schedule lists its events out of step order.  Each step must fire
+  // exactly the events starting at it, ties in schedule order, and an
+  // injector restored mid-crash must report the same recoveries.
+  const SdNetwork net = scenarios::grid_flow(2, 3);  // sources 0, 3
+  FaultSchedule schedule;
+  const auto edge_event = [](FaultKind kind, EdgeId e, TimeStep at) {
+    FaultEvent ev;
+    ev.kind = kind;
+    ev.edge = e;
+    ev.at = at;
+    return ev;
+  };
+  const auto crash = [](NodeId v, TimeStep at, TimeStep duration) {
+    FaultEvent ev;
+    ev.kind = FaultKind::kCrash;
+    ev.node = v;
+    ev.at = at;
+    ev.duration = duration;
+    return ev;
+  };
+  const auto surge = [](NodeId v, TimeStep at) {
+    FaultEvent ev;
+    ev.kind = FaultKind::kSourceSurge;
+    ev.node = v;
+    ev.at = at;
+    ev.duration = 3;
+    ev.extra = 1;
+    return ev;
+  };
+  schedule.add(edge_event(FaultKind::kEdgeRemove, 3, 5))
+      .add(crash(2, 4, 3))
+      .add(surge(3, 6))
+      .add(edge_event(FaultKind::kEdgeRemove, 1, 5))
+      .add(crash(0, 4, 2))
+      .add(surge(0, 6))
+      .add(edge_event(FaultKind::kEdgeAdd, 3, 8))
+      .add(crash(1, 7, 1));
+  schedule.validate(net);
+
+  SdNetwork net_a = net;
+  SdNetwork net_b = net;
+  FaultInjector a(schedule);
+  a.size_to(net_a);
+  std::optional<FaultInjector> b;
+  for (TimeStep t = 0; t < 12; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    TopologyDelta delta;
+    std::vector<NodeId> wiped;
+    const auto wipe = [&wiped](NodeId v) { wiped.push_back(v); };
+    const bool churned = a.apply_churn(t, net_a, delta, wipe);
+    const bool down_changed = a.begin_step(t, net_a, wipe);
+    std::vector<EdgeId> edges;
+    for (const auto& ec : delta.edges) edges.push_back(ec.edge);
+    EXPECT_EQ(churned, t == 5 || t == 8);
+    const std::vector<EdgeId> want_edges =
+        t == 5 ? std::vector<EdgeId>{3, 1}
+        : t == 8 ? std::vector<EdgeId>{3}
+                 : std::vector<EdgeId>{};
+    const std::vector<NodeId> want_wiped =
+        t == 4 ? std::vector<NodeId>{2, 0}
+        : t == 7 ? std::vector<NodeId>{1}
+                 : std::vector<NodeId>{};
+    const std::vector<NodeId> want_surging =
+        t >= 6 && t < 9 ? std::vector<NodeId>{3, 0} : std::vector<NodeId>{};
+    EXPECT_EQ(edges, want_edges);
+    EXPECT_EQ(wiped, want_wiped);
+    EXPECT_EQ(down_changed, t == 4 || t == 6 || t == 7 || t == 8);
+    EXPECT_EQ(a.surging_sources(), want_surging);
+    if (b.has_value()) {
+      TopologyDelta delta_b;
+      const auto no_wipe = [](NodeId) {};
+      EXPECT_EQ(b->apply_churn(t, net_b, delta_b, no_wipe), churned);
+      EXPECT_EQ(b->begin_step(t, net_b, no_wipe), down_changed);
+      EXPECT_EQ(b->went_down(), a.went_down());
+      EXPECT_EQ(b->came_up(), a.came_up());
+      EXPECT_EQ(b->surging_sources(), a.surging_sources());
+    }
+    if (t == 4) {  // restore while nodes 0 and 2 are down
+      std::stringstream blob;
+      a.save_state(blob);
+      b.emplace(schedule);
+      b->size_to(net_b);
+      b->load_state(blob);
+      net_b = net_a;
     }
   }
 }
