@@ -80,6 +80,8 @@ class IncrementalMaxFlow {
   [[nodiscard]] Cap source_rate(NodeId v) const;
   [[nodiscard]] Cap sink_rate(NodeId v) const;
   [[nodiscard]] const IncrementalStats& stats() const { return stats_; }
+  /// The live G*, holding the current maximum flow.
+  [[nodiscard]] const FlowNetwork& network() const { return net_; }
 
   /// Arms/disarms the per-mutation from-scratch differential check.
   /// Defaults to on in assert-enabled builds, off under NDEBUG.
