@@ -13,23 +13,29 @@ FlowPlan build_flow_plan(const SdNetwork& net, const graph::EdgeMask* mask) {
   const auto sources = net.source_rates();
   const auto sinks = net.sink_rates();
 
-  flow::FlowNetwork fn(g.node_count());
-  const NodeId s_star = fn.add_node();
-  const NodeId d_star = fn.add_node();
-  for (const flow::RatedNode& rn : sources) fn.add_arc(s_star, rn.node, rn.rate);
-  for (const flow::RatedNode& rn : sinks) fn.add_arc(rn.node, d_star, rn.rate);
+  const NodeId s_star = g.node_count();
+  const NodeId d_star = g.node_count() + 1;
+  std::vector<flow::ArcSpec> arcs;
+  for (const flow::RatedNode& rn : sources) {
+    arcs.push_back({s_star, rn.node, rn.rate});
+  }
+  for (const flow::RatedNode& rn : sinks) {
+    arcs.push_back({rn.node, d_star, rn.rate});
+  }
 
   std::map<flow::ArcId, Transmission> arc_to_hop;
   std::vector<std::pair<flow::ArcId, flow::ArcId>> edge_arcs;
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     if (mask != nullptr && !mask->active(e)) continue;
     const graph::Endpoints ep = g.endpoints(e);
-    const flow::ArcId fwd = fn.add_arc(ep.u, ep.v, 1);
-    const flow::ArcId bwd = fn.add_arc(ep.v, ep.u, 1);
+    const auto fwd = static_cast<flow::ArcId>(2 * arcs.size());
+    arcs.push_back({ep.u, ep.v, 1});
+    arcs.push_back({ep.v, ep.u, 1});
     arc_to_hop.emplace(fwd, Transmission{e, ep.u, ep.v});
-    arc_to_hop.emplace(bwd, Transmission{e, ep.v, ep.u});
-    edge_arcs.emplace_back(fwd, bwd);
+    arc_to_hop.emplace(fwd + 2, Transmission{e, ep.v, ep.u});
+    edge_arcs.emplace_back(fwd, fwd + 2);
   }
+  flow::FlowNetwork fn(g.node_count() + 2, arcs);
 
   FlowPlan plan;
   plan.value = flow::solve_max_flow(fn, s_star, d_star);

@@ -1,34 +1,13 @@
 #include "core/induction.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "flow/max_flow.hpp"
+#include "flow/min_cut.hpp"
 
 namespace lgg::core {
 
 namespace {
-
-/// Residual closure of `seed` in a solved extended graph.
-std::vector<char> residual_closure(const flow::FlowNetwork& net,
-                                   std::vector<char> seen) {
-  std::queue<NodeId> bfs;
-  for (NodeId v = 0; v < net.node_count(); ++v) {
-    if (seen[static_cast<std::size_t>(v)]) bfs.push(v);
-  }
-  while (!bfs.empty()) {
-    const NodeId u = bfs.front();
-    bfs.pop();
-    for (const flow::ArcId a : net.out_arcs(u)) {
-      const NodeId v = net.to(a);
-      if (net.residual(a) > 0 && !seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        bfs.push(v);
-      }
-    }
-  }
-  return seen;
-}
 
 InternalCut cut_from_closure(const SdNetwork& net,
                              const std::vector<char>& closure,
@@ -67,7 +46,7 @@ std::optional<InternalCut> find_internal_cut(const SdNetwork& net) {
   std::vector<char> base(
       static_cast<std::size_t>(ext.net.node_count()), 0);
   base[static_cast<std::size_t>(ext.s_star)] = 1;
-  const std::vector<char> a_min = residual_closure(ext.net, base);
+  const std::vector<char> a_min = flow::residual_closure(ext.net, base);
   LGG_REQUIRE(!a_min[static_cast<std::size_t>(ext.d_star)],
               "find_internal_cut: flow is not maximum");
 
@@ -85,7 +64,7 @@ std::optional<InternalCut> find_internal_cut(const SdNetwork& net) {
     if (a_min[static_cast<std::size_t>(x)]) continue;
     std::vector<char> seed = a_min;
     seed[static_cast<std::size_t>(x)] = 1;
-    const std::vector<char> closure = residual_closure(ext.net, seed);
+    const std::vector<char> closure = flow::residual_closure(ext.net, seed);
     if (closure[static_cast<std::size_t>(ext.d_star)]) continue;
     const NodeId a_real = real_count(closure);
     if (a_real >= 1 && n - a_real >= 1) {

@@ -33,15 +33,11 @@ IncrementalMaxFlow::IncrementalMaxFlow(const graph::Multigraph& g,
   cross_check_ = true;
 #endif
 
-  net_ = FlowNetwork(g.node_count());
-  s_star_ = net_.add_node();
-  d_star_ = net_.add_node();
   const auto n = static_cast<std::size_t>(g.node_count());
   source_arc_.assign(n, kInvalidArc);
   sink_arc_.assign(n, kInvalidArc);
   source_rate_.assign(n, 0);
   sink_rate_.assign(n, 0);
-
   for (const RatedNode& rn : sources) {
     LGG_REQUIRE(g.valid_node(rn.node) && rn.rate > 0,
                 "IncrementalMaxFlow: bad source");
@@ -49,10 +45,6 @@ IncrementalMaxFlow::IncrementalMaxFlow(const graph::Multigraph& g,
                 "IncrementalMaxFlow: duplicate source");
     source_rate_[static_cast<std::size_t>(rn.node)] = rn.rate;
     rate_total_ += rn.rate;
-    const Cap cap = source_cap_for(rn.rate);
-    source_arc_[static_cast<std::size_t>(rn.node)] =
-        net_.add_arc(s_star_, rn.node, cap);
-    source_cap_total_ += cap;
   }
   for (const RatedNode& rn : sinks) {
     LGG_REQUIRE(g.valid_node(rn.node) && rn.rate > 0,
@@ -60,27 +52,40 @@ IncrementalMaxFlow::IncrementalMaxFlow(const graph::Multigraph& g,
     LGG_REQUIRE(sink_rate_[static_cast<std::size_t>(rn.node)] == 0,
                 "IncrementalMaxFlow: duplicate sink");
     sink_rate_[static_cast<std::size_t>(rn.node)] = rn.rate;
-    sink_arc_[static_cast<std::size_t>(rn.node)] =
-        net_.add_arc(rn.node, d_star_, rn.rate * options_.sink_scale);
     sink_cap_total_ += rn.rate * options_.sink_scale;
   }
   LGG_REQUIRE(sink_cap_total_ < unbounded_cap_ / 2,
               "IncrementalMaxFlow: sink capacities exceed headroom");
 
+  // G* in the static pipeline's arc order; unbounded source arcs take this
+  // engine's fixed ceiling, and masked-off edges capacity 0.
+  ExtendedGraph ext = build_extended_graph(g, sources, sinks, options_);
+  net_ = std::move(ext.net);
+  s_star_ = ext.s_star;
+  d_star_ = ext.d_star;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const ArcId a = ext.source_arcs[i];
+    const Cap cap = source_cap_for(sources[i].rate);
+    net_.set_capacity(a, cap);
+    source_arc_[static_cast<std::size_t>(sources[i].node)] = a;
+    source_cap_total_ += cap;
+  }
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    sink_arc_[static_cast<std::size_t>(sinks[i].node)] = ext.sink_arcs[i];
+  }
+  forward_edge_arcs_ = std::move(ext.forward_edge_arcs);
+  backward_edge_arcs_ = std::move(ext.backward_edge_arcs);
   edge_active_.assign(static_cast<std::size_t>(g.edge_count()), 1);
-  forward_edge_arcs_.reserve(static_cast<std::size_t>(g.edge_count()));
-  backward_edge_arcs_.reserve(static_cast<std::size_t>(g.edge_count()));
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const bool active = mask == nullptr || mask->active(e);
-    edge_active_[static_cast<std::size_t>(e)] = active ? 1 : 0;
-    const Cap cap = active ? options_.edge_capacity : 0;
-    const graph::Endpoints ep = g.endpoints(e);
-    forward_edge_arcs_.push_back(net_.add_arc(ep.u, ep.v, cap));
-    backward_edge_arcs_.push_back(net_.add_arc(ep.v, ep.u, cap));
+    if (mask == nullptr || mask->active(e)) continue;
+    edge_active_[static_cast<std::size_t>(e)] = 0;
+    net_.set_capacity(forward_edge_arcs_[static_cast<std::size_t>(e)], 0);
+    net_.set_capacity(backward_edge_arcs_[static_cast<std::size_t>(e)], 0);
   }
 
   seen_.assign(static_cast<std::size_t>(net_.node_count()), 0);
-  parent_arc_.assign(static_cast<std::size_t>(net_.node_count()), kInvalidArc);
+  parent_slot_.assign(static_cast<std::size_t>(net_.node_count()), -1);
+  queue_.assign(static_cast<std::size_t>(net_.node_count()) + 1, 0);
 
   value_ = solve_max_flow(net_, s_star_, d_star_, FlowAlgorithm::kDinic);
   ++stats_.rebuilds;
@@ -167,12 +172,13 @@ void IncrementalMaxFlow::apply_capacity(ArcId a, Cap cap) {
 void IncrementalMaxFlow::lower_arc_flow(ArcId a, Cap target) {
   const NodeId u = net_.from(a);
   const NodeId v = net_.to(a);
+  const SlotId slot = net_.arc_slot(a);
   Cap x = net_.flow(a) - target;
   while (x > 0) {
     // First choice: reroute the surplus u ⇝ v through the residual graph
     // (this is also what cancels flow cycles through the arc) — the flow
     // value is preserved.
-    if (Cap b = find_path(u, v, a); b > 0) {
+    if (Cap b = find_path(u, v, slot); b > 0) {
       b = std::min(b, x);
       push_path(u, v, b);
       net_.push(a ^ 1, b);
@@ -186,21 +192,22 @@ void IncrementalMaxFlow::lower_arc_flow(ArcId a, Cap target) {
     Cap b = x;
     path_scratch_.clear();
     if (u != s_star_) {
-      const Cap b1 = find_path(u, s_star_, a);
+      const Cap b1 = find_path(u, s_star_, slot);
       LGG_REQUIRE(b1 > 0, "lower_arc_flow: no drain path to s*");
       b = std::min(b, b1);
+      const auto slots = net_.slots();
       for (NodeId w = s_star_; w != u;) {
-        const ArcId pa = parent_arc_[static_cast<std::size_t>(w)];
-        path_scratch_.push_back(pa);
-        w = net_.from(pa);
+        const SlotId ps = parent_slot_[static_cast<std::size_t>(w)];
+        path_scratch_.push_back(ps);
+        w = slots.head[slots.twin[ps]];
       }
     }
     if (v != d_star_) {
-      const Cap b2 = find_path(d_star_, v, a);
+      const Cap b2 = find_path(d_star_, v, slot);
       LGG_REQUIRE(b2 > 0, "lower_arc_flow: no drain path from d*");
       b = std::min(b, b2);
     }
-    for (const ArcId pa : path_scratch_) net_.push(pa, b);
+    for (const SlotId ps : path_scratch_) net_.push_slot(ps, b);
     if (!path_scratch_.empty()) ++stats_.augment_paths;
     if (v != d_star_) push_path(d_star_, v, b);
     net_.push(a ^ 1, b);
@@ -211,49 +218,57 @@ void IncrementalMaxFlow::lower_arc_flow(ArcId a, Cap target) {
 
 void IncrementalMaxFlow::augment() {
   while (true) {
-    const Cap b = find_path(s_star_, d_star_, kInvalidArc);
+    const Cap b = find_path(s_star_, d_star_, -1);
     if (b == 0) break;
     push_path(s_star_, d_star_, b);
     value_ += b;
   }
 }
 
-Cap IncrementalMaxFlow::find_path(NodeId from, NodeId to, ArcId banned) {
+Cap IncrementalMaxFlow::find_path(NodeId from, NodeId to, SlotId banned) {
   LGG_REQUIRE(from != to, "find_path: trivial endpoints");
-  ++epoch_;
-  queue_.clear();
-  queue_.push_back(from);
-  seen_[static_cast<std::size_t>(from)] = epoch_;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId w = queue_[head];
-    for (const ArcId a : net_.out_arcs(w)) {
-      ++stats_.bfs_arcs;
-      if (a == banned || a == (banned ^ 1)) continue;
-      if (net_.residual(a) <= 0) continue;
-      const NodeId next = net_.to(a);
-      if (seen_[static_cast<std::size_t>(next)] == epoch_) continue;
-      seen_[static_cast<std::size_t>(next)] = epoch_;
-      parent_arc_[static_cast<std::size_t>(next)] = a;
-      if (next == to) {
-        Cap bottleneck = net_.residual(a);
+  const auto slots = net_.slots();
+  const SlotId banned_twin = banned < 0 ? -1 : slots.twin[banned];
+  const std::uint32_t epoch = ++epoch_;
+  std::uint32_t* const seen = seen_.data();
+  SlotId* const parent = parent_slot_.data();
+  NodeId* const queue = queue_.data();
+  queue[0] = from;
+  seen[from] = epoch;
+  std::size_t tail = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId w = queue[head];
+    const SlotId begin = slots.begin[w];
+    for (SlotId s = begin, end = slots.end[w]; s < end; ++s) {
+      const NodeId next = slots.head[s];
+      const bool take = (slots.residual[s] > 0) & (seen[next] != epoch) &
+                        (s != banned) & (s != banned_twin);
+      seen[next] = take ? epoch : seen[next];
+      parent[next] = take ? s : parent[next];
+      queue[tail] = next;
+      tail += take ? 1 : 0;
+      if (take && next == to) {
+        stats_.bfs_arcs += static_cast<std::uint64_t>(s - begin + 1);
+        Cap bottleneck = slots.residual[s];
         for (NodeId x = w; x != from;) {
-          const ArcId pa = parent_arc_[static_cast<std::size_t>(x)];
-          bottleneck = std::min(bottleneck, net_.residual(pa));
-          x = net_.from(pa);
+          const SlotId ps = parent[x];
+          bottleneck = std::min(bottleneck, slots.residual[ps]);
+          x = slots.head[slots.twin[ps]];
         }
         return bottleneck;
       }
-      queue_.push_back(next);
     }
+    stats_.bfs_arcs += static_cast<std::uint64_t>(slots.end[w] - begin);
   }
   return 0;
 }
 
 void IncrementalMaxFlow::push_path(NodeId from, NodeId to, Cap amount) {
+  const auto slots = net_.slots();
   for (NodeId w = to; w != from;) {
-    const ArcId a = parent_arc_[static_cast<std::size_t>(w)];
-    net_.push(a, amount);
-    w = net_.from(a);
+    const SlotId s = parent_slot_[static_cast<std::size_t>(w)];
+    net_.push_slot(s, amount);
+    w = slots.head[slots.twin[s]];
   }
   ++stats_.augment_paths;
 }

@@ -94,11 +94,11 @@ class IncrementalMaxFlow {
   void verify_against_scratch() const;
   [[nodiscard]] Cap source_cap_for(Cap rate) const;
 
-  /// BFS for a residual path `from` ⇝ `to`, skipping the arc pair of
-  /// `banned` (and its twin).  Fills parent_arc_; returns the bottleneck
-  /// residual, or 0 when no path exists.
-  Cap find_path(NodeId from, NodeId to, ArcId banned);
-  /// Pushes `amount` along the parent_arc_ chain from `from` to `to`.
+  /// BFS for a residual path `from` ⇝ `to`, skipping the arc in slot
+  /// `banned` and its twin (none when -1).  Fills parent_slot_; returns the
+  /// bottleneck residual, or 0 when no path exists.
+  Cap find_path(NodeId from, NodeId to, SlotId banned);
+  /// Pushes `amount` along the parent_slot_ chain from `from` to `to`.
   void push_path(NodeId from, NodeId to, Cap amount);
 
   const graph::Multigraph* g_ = nullptr;
@@ -121,11 +121,12 @@ class IncrementalMaxFlow {
   Cap source_cap_total_ = 0;  // Σ live (s*, s) arc capacities
   Cap sink_cap_total_ = 0;    // Σ live (d, d*) arc capacities
 
-  // Epoch-stamped BFS scratch, reused across mutations.
+  // Epoch-stamped BFS scratch over the slot arrays, reused across
+  // mutations.
   std::vector<std::uint32_t> seen_;
-  std::vector<ArcId> parent_arc_;
-  std::vector<NodeId> queue_;
-  std::vector<ArcId> path_scratch_;
+  std::vector<SlotId> parent_slot_;
+  std::vector<NodeId> queue_;  // node count + 1: the BFS writes one past
+  std::vector<SlotId> path_scratch_;
   std::uint32_t epoch_ = 0;
 
   IncrementalStats stats_;

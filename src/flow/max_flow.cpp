@@ -42,6 +42,7 @@ bool flow_is_valid(const FlowNetwork& net, NodeId source, NodeId sink) {
   for (ArcId a = 0; a < net.arc_count(); ++a) {
     if (net.residual(a) < 0) return false;
   }
+  // excess_at reads only v's own slots: one pass over the arcs in all.
   for (NodeId v = 0; v < net.node_count(); ++v) {
     if (v == source || v == sink) continue;
     if (net.excess_at(v) != 0) return false;

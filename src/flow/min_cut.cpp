@@ -1,67 +1,60 @@
 #include "flow/min_cut.hpp"
 
-#include <queue>
+#include <utility>
 
 namespace lgg::flow {
 
 namespace {
 
-/// Forward residual reachability from `start`.
-std::vector<char> residual_reach(const FlowNetwork& net, NodeId start) {
-  std::vector<char> seen(static_cast<std::size_t>(net.node_count()), 0);
-  std::queue<NodeId> bfs;
-  seen[static_cast<std::size_t>(start)] = 1;
-  bfs.push(start);
-  while (!bfs.empty()) {
-    const NodeId u = bfs.front();
-    bfs.pop();
-    for (const ArcId a : net.out_arcs(u)) {
-      const NodeId v = net.to(a);
-      if (net.residual(a) > 0 && !seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        bfs.push(v);
-      }
+/// Residual reachability closure of the marked nodes, forwards (along arcs
+/// with residual > 0) or backwards (to the marked nodes, along the same
+/// arcs reversed).  A flat queue; the relaxation is branch-free.
+template <bool kBackward>
+std::vector<char> residual_bfs(const FlowNetwork& net, std::vector<char> seen) {
+  LGG_REQUIRE(static_cast<NodeId>(seen.size()) == net.node_count(),
+              "residual closure: indicator size mismatch");
+  const auto slots = net.slots();
+  std::vector<NodeId> queue(seen.size() + 1);
+  std::size_t tail = 0;
+  for (NodeId v = 0; v < net.node_count(); ++v) {
+    if (seen[static_cast<std::size_t>(v)]) queue[tail++] = v;
+  }
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId u = queue[head];
+    for (SlotId s = slots.begin[u], end = slots.end[u]; s < end; ++s) {
+      // Backwards, slot s of u is the twin of arc (v -> u).
+      const Cap r = slots.residual[kBackward ? slots.twin[s] : s];
+      const NodeId v = slots.head[s];
+      const bool take = (r > 0) & !seen[static_cast<std::size_t>(v)];
+      seen[static_cast<std::size_t>(v)] |= static_cast<char>(take);
+      queue[tail] = v;
+      tail += take ? 1 : 0;
     }
   }
   return seen;
 }
 
-/// Backward residual reachability: nodes that can reach `target` through
-/// residual arcs.  v reaches target iff some residual arc v->w with w
-/// already reaching.  Computed as forward reachability on reversed arcs:
-/// arc a (u->v, residual r) is traversed backwards when residual(a) > 0.
-std::vector<char> residual_reach_to(const FlowNetwork& net, NodeId target) {
+std::vector<char> single(const FlowNetwork& net, NodeId v) {
   std::vector<char> seen(static_cast<std::size_t>(net.node_count()), 0);
-  std::queue<NodeId> bfs;
-  seen[static_cast<std::size_t>(target)] = 1;
-  bfs.push(target);
-  while (!bfs.empty()) {
-    const NodeId v = bfs.front();
-    bfs.pop();
-    // Any arc a = (u -> v) with residual > 0 lets u reach v.  Arcs *into*
-    // v are the twins of arcs out of v.
-    for (const ArcId out : net.out_arcs(v)) {
-      const ArcId a = out ^ 1;  // arc (u -> v)
-      const NodeId u = net.to(out);
-      if (net.residual(a) > 0 && !seen[static_cast<std::size_t>(u)]) {
-        seen[static_cast<std::size_t>(u)] = 1;
-        bfs.push(u);
-      }
-    }
-  }
+  seen[static_cast<std::size_t>(v)] = 1;
   return seen;
 }
 
 }  // namespace
 
+std::vector<char> residual_closure(const FlowNetwork& net,
+                                   std::vector<char> seeds) {
+  return residual_bfs<false>(net, std::move(seeds));
+}
+
 CutSides min_cut_sides(const FlowNetwork& net, NodeId source, NodeId sink) {
   LGG_REQUIRE(net.valid_node(source) && net.valid_node(sink),
               "min_cut_sides: bad terminal");
   CutSides sides;
-  sides.min_side = residual_reach(net, source);
+  sides.min_side = residual_closure(net, single(net, source));
   LGG_REQUIRE(!sides.min_side[static_cast<std::size_t>(sink)],
               "min_cut_sides: network does not hold a maximum flow");
-  const auto reaches_sink = residual_reach_to(net, sink);
+  const auto reaches_sink = residual_bfs<true>(net, single(net, sink));
   sides.max_side.assign(static_cast<std::size_t>(net.node_count()), 0);
   for (NodeId v = 0; v < net.node_count(); ++v) {
     sides.max_side[static_cast<std::size_t>(v)] =
@@ -84,31 +77,6 @@ Cap cut_capacity(const FlowNetwork& net, const std::vector<char>& side_a) {
   }
   return total;
 }
-
-namespace {
-
-/// Residual reachability from a seed set.
-std::vector<char> residual_reach_from_set(const FlowNetwork& net,
-                                          std::vector<char> seen) {
-  std::queue<NodeId> bfs;
-  for (NodeId v = 0; v < net.node_count(); ++v) {
-    if (seen[static_cast<std::size_t>(v)]) bfs.push(v);
-  }
-  while (!bfs.empty()) {
-    const NodeId u = bfs.front();
-    bfs.pop();
-    for (const ArcId a : net.out_arcs(u)) {
-      const NodeId v = net.to(a);
-      if (net.residual(a) > 0 && !seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        bfs.push(v);
-      }
-    }
-  }
-  return seen;
-}
-
-}  // namespace
 
 CutLocation cut_location(const FlowNetwork& net, NodeId source, NodeId sink) {
   const CutSides sides = min_cut_sides(net, source, sink);
@@ -146,7 +114,7 @@ CutLocation cut_location(const FlowNetwork& net, NodeId source, NodeId sink) {
       continue;
     }
     seed[static_cast<std::size_t>(x)] = 1;
-    const std::vector<char> closure = residual_reach_from_set(net, seed);
+    const std::vector<char> closure = residual_closure(net, std::move(seed));
     if (closure[static_cast<std::size_t>(sink)]) continue;
     const NodeId closure_count = count_side(closure);
     if (closure_count > 1 && n - closure_count > 1) loc.internal = true;

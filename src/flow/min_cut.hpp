@@ -22,6 +22,11 @@ struct CutSides {
   std::vector<char> max_side;
 };
 
+/// The nodes reachable from the marked `seeds` along arcs with positive
+/// residual, seeds included.
+std::vector<char> residual_closure(const FlowNetwork& net,
+                                   std::vector<char> seeds);
+
 /// Requires `net` to hold a maximum s-t flow.
 CutSides min_cut_sides(const FlowNetwork& net, NodeId source, NodeId sink);
 

@@ -13,14 +13,14 @@ class PushRelabelSolver {
  public:
   PushRelabelSolver(FlowNetwork& net, NodeId source, NodeId sink,
                     PushRelabelRule rule)
-      : net_(net),
+      : slots_(net.slots()),
         source_(source),
         sink_(sink),
         rule_(rule),
         n_(net.node_count()),
         height_(static_cast<std::size_t>(n_), 0),
         excess_(static_cast<std::size_t>(n_), 0),
-        current_arc_(static_cast<std::size_t>(n_), 0),
+        current_(slots_.begin, slots_.begin + n_),
         in_queue_(static_cast<std::size_t>(n_), 0),
         height_count_(2 * static_cast<std::size_t>(n_) + 1, 0),
         buckets_(2 * static_cast<std::size_t>(n_) + 1) {}
@@ -30,13 +30,13 @@ class PushRelabelSolver {
     height_count_[0] = static_cast<std::size_t>(n_ - 1);
     height_count_[static_cast<std::size_t>(n_)] = 1;
     // Saturate all arcs out of the source.
-    for (const ArcId a : net_.out_arcs(source_)) {
-      const Cap r = net_.residual(a);
+    for (SlotId s = slots_.begin[source_]; s < slots_.end[source_]; ++s) {
+      const Cap r = slots_.residual[s];
       if (r > 0) {
-        net_.push(a, r);
-        excess_[static_cast<std::size_t>(net_.to(a))] += r;
+        push(s, r);
+        excess_[static_cast<std::size_t>(slots_.head[s])] += r;
         excess_[static_cast<std::size_t>(source_)] -= r;
-        activate(net_.to(a));
+        activate(slots_.head[s]);
       }
     }
     for (NodeId u = next_active(); u != kInvalidNode; u = next_active()) {
@@ -85,29 +85,32 @@ class PushRelabelSolver {
     }
   }
 
+  void push(SlotId s, Cap amount) {
+    slots_.residual[s] -= amount;
+    slots_.residual[slots_.twin[s]] += amount;
+  }
+
   void discharge(NodeId u) {
-    const auto arcs = net_.out_arcs(u);
     auto& e = excess_[static_cast<std::size_t>(u)];
     while (e > 0) {
-      auto& i = current_arc_[static_cast<std::size_t>(u)];
-      if (i >= static_cast<int>(arcs.size())) {
+      auto& s = current_[static_cast<std::size_t>(u)];
+      if (s >= slots_.end[u]) {
         relabel(u);
-        i = 0;
+        s = slots_.begin[u];
         if (height_[static_cast<std::size_t>(u)] >= 2 * n_) break;
         continue;
       }
-      const ArcId a = arcs[static_cast<std::size_t>(i)];
-      const NodeId v = net_.to(a);
-      if (net_.residual(a) > 0 &&
+      const NodeId v = slots_.head[s];
+      if (slots_.residual[s] > 0 &&
           height_[static_cast<std::size_t>(u)] ==
               height_[static_cast<std::size_t>(v)] + 1) {
-        const Cap amount = std::min(e, net_.residual(a));
-        net_.push(a, amount);
+        const Cap amount = std::min(e, slots_.residual[s]);
+        push(s, amount);
         e -= amount;
         excess_[static_cast<std::size_t>(v)] += amount;
         activate(v);
       } else {
-        ++i;
+        ++s;
       }
     }
   }
@@ -115,9 +118,10 @@ class PushRelabelSolver {
   void relabel(NodeId u) {
     const int old = height_[static_cast<std::size_t>(u)];
     int best = 2 * n_;
-    for (const ArcId a : net_.out_arcs(u)) {
-      if (net_.residual(a) > 0) {
-        best = std::min(best, height_[static_cast<std::size_t>(net_.to(a))] + 1);
+    for (SlotId s = slots_.begin[u]; s < slots_.end[u]; ++s) {
+      if (slots_.residual[s] > 0) {
+        best = std::min(best,
+                        height_[static_cast<std::size_t>(slots_.head[s])] + 1);
       }
     }
     height_[static_cast<std::size_t>(u)] = best;
@@ -137,14 +141,14 @@ class PushRelabelSolver {
     }
   }
 
-  FlowNetwork& net_;
+  FlowNetwork::Slots<Cap> slots_;
   NodeId source_;
   NodeId sink_;
   PushRelabelRule rule_;
   int n_;
   std::vector<int> height_;
   std::vector<Cap> excess_;
-  std::vector<int> current_arc_;
+  std::vector<SlotId> current_;  // per node: the current-arc slot
   std::vector<unsigned char> in_queue_;
   std::vector<std::size_t> height_count_;
   std::deque<NodeId> fifo_;

@@ -19,6 +19,17 @@ const FlowAlgorithm kAllAlgorithms[] = {
 
 class MaxFlowAlgo : public ::testing::TestWithParam<FlowAlgorithm> {};
 
+TEST(FlowIsValid, OneUnbalancedNodeIsInvalid) {
+  FlowNetwork net(4);
+  const ArcId a = net.add_arc(0, 1, 2);
+  const ArcId b = net.add_arc(1, 2, 2);
+  net.add_arc(2, 3, 2);
+  net.push(a, 1);
+  net.push(b, 1);
+  EXPECT_FALSE(flow_is_valid(net, 0, 3));  // node 2 holds one unit
+  EXPECT_TRUE(flow_is_valid(net, 0, 2));   // unless it is the sink
+}
+
 TEST_P(MaxFlowAlgo, SingleArc) {
   FlowNetwork net(2);
   net.add_arc(0, 1, 7);
