@@ -84,6 +84,7 @@ void print_churn_certificate_report() {
       r.scratch_ms / r.mutations);
   std::printf("speedup: %.1fx   verdicts agree: %s\n", speedup,
               r.verdicts_agree ? "yes" : "NO (BUG)");
+  if (!r.verdicts_agree) bench::self_check_failed = true;
 
   std::ofstream out("BENCH_churn.json");
   if (out) {

@@ -1,7 +1,8 @@
 // E1 — Fig. 1/2, Definitions 1–4: model construction.  For a sweep of
 // topologies, the feasibility analysis (f*, feasibility, saturation, ε)
 // agrees across all max-flow solvers, and the derived classification is
-// printed as the paper's model would predict it.
+// printed as the paper's model would predict it.  A row whose solvers
+// disagree makes the binary exit 1.
 #include "support/bench_common.hpp"
 
 #include "core/scenarios.hpp"
@@ -60,6 +61,7 @@ void print_report() {
           flow::solve_max_flow(ext.net, ext.s_star, ext.d_star, algo);
       agree = agree && (fstar == report.fstar);
     }
+    if (!agree) bench::self_check_failed = true;
     table.add(row.label, row.net.node_count(), row.net.max_degree(),
               report.arrival_rate, report.fstar, report.feasible,
               report.unsaturated, report.epsilon, report.location.at_source,

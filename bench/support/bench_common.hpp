@@ -51,6 +51,10 @@ inline std::string verdict_cell(const core::StabilityReport& report) {
   return std::string(core::to_string(report.verdict));
 }
 
+/// Set by a report whose self-check fails (solvers or verdicts that should
+/// agree and do not): the bench still prints everything, then exits 1.
+inline bool self_check_failed = false;
+
 }  // namespace lgg::bench
 
 /// Each bench defines `void print_report();` and its BENCHMARK()s, then
@@ -62,5 +66,5 @@ inline std::string verdict_cell(const core::StabilityReport& report) {
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                 \
     ::benchmark::Shutdown();                               \
-    return 0;                                              \
+    return ::lgg::bench::self_check_failed ? 1 : 0;        \
   }
