@@ -98,31 +98,26 @@ constexpr ExtendedGraphOptions kParametric{.edge_capacity = kEpsilonDenom,
                                            .sink_scale = kEpsilonDenom,
                                            .unbounded_sources = true};
 
-/// Raises every (s*, s) arc to capacity cap(i) over the flow in `ext.net`
-/// (requires cap(i) >= that flow) and augments it to a maximum flow;
-/// returns the value added.
-template <typename CapOf>
-Cap raise_sources(ExtendedGraph& ext, CapOf cap) {
-  for (std::size_t i = 0; i < ext.source_arcs.size(); ++i) {
-    ext.net.set_capacity_keep_flow(ext.source_arcs[i], cap(i));
-  }
-  return dinic_max_flow(ext.net, ext.s_star, ext.d_star);
-}
-
 /// A flow on G* that Newton probes start from, and its value.
 struct WarmStart {
   std::vector<Cap> flows;  // FlowNetwork::slot_flows()
   Cap value = 0;
 };
 
-/// F(a), continued from `start`, whose source-arc flows must fit under
-/// a·in(s).
-Cap solve_at(ExtendedGraph& ext, std::span<const RatedNode> sources,
-             const WarmStart& start, Cap a) {
+/// Sets every (s*, s) arc to capacity a·in(s), with no flow on it.
+void set_source_caps(ExtendedGraph& ext, std::span<const RatedNode> sources,
+                     Cap a) {
   for (std::size_t i = 0; i < sources.size(); ++i) {
     ext.net.set_capacity(ext.source_arcs[i],
                          checked_mul_add(sources[i].rate, a));
   }
+}
+
+/// F(a), continued from `start`, whose source-arc flows must fit under
+/// a·in(s).
+Cap solve_at(ExtendedGraph& ext, std::span<const RatedNode> sources,
+             const WarmStart& start, Cap a) {
+  set_source_caps(ext, sources, a);
   ext.net.restore_flows(start.flows);
   return start.value + dinic_max_flow(ext.net, ext.s_star, ext.d_star);
 }
@@ -163,10 +158,7 @@ FeasibilityReport analyze_feasibility(const graph::Multigraph& g,
   report.arrival_rate = total_rate(sources);
   // F(B) from zero flow; f* and every Newton probe a >= B continue from a
   // copy of that flow, raising only source capacities over it.
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    ext.net.set_capacity(ext.source_arcs[i],
-                         checked_mul_add(sources[i].rate, kEpsilonDenom));
-  }
+  set_source_caps(ext, sources, kEpsilonDenom);
   const Cap value_at_rates = dinic_max_flow(ext.net, ext.s_star, ext.d_star);
   const WarmStart at_rates{ext.net.slot_flows(), value_at_rates};
   // Scaling every capacity by B scales every cut alike: the flow value
@@ -174,10 +166,11 @@ FeasibilityReport analyze_feasibility(const graph::Multigraph& g,
   report.max_flow_at_rates = at_rates.value / kEpsilonDenom;
   report.feasible = (report.max_flow_at_rates == report.arrival_rate);
   report.location = cut_location(ext.net, ext.s_star, ext.d_star);
+  for (const ArcId a : ext.source_arcs) {
+    ext.net.set_capacity_keep_flow(a, unbounded);
+  }
   const Cap scaled_fstar =
-      at_rates.value + raise_sources(ext, [unbounded](std::size_t) {
-        return unbounded;
-      });
+      at_rates.value + dinic_max_flow(ext.net, ext.s_star, ext.d_star);
   report.fstar = scaled_fstar / kEpsilonDenom;
   if (report.feasible) {
     // No cut with s(C) = 0 admits more than B·f*, so a <= B·f*/R.
