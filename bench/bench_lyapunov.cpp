@@ -1,7 +1,7 @@
 // E17 — the proof machinery of Section III audited live: Equations 1, 3,
 // and 4 verified to the exact integer on every step of representative
 // runs, plus the measured δ_t against the 2nΔ² bound of the Property-1
-// proof.
+// proof.  A step that breaks an identity fails the bench (exit 1).
 #include "support/bench_common.hpp"
 
 #include "core/lyapunov.hpp"
@@ -45,6 +45,7 @@ void print_report() {
     core::LyapunovAuditor auditor(c.net);
     sim.set_observer(&auditor);
     sim.run(2000);
+    if (!auditor.all_ok()) bench::self_check_failed = true;
     const double n = static_cast<double>(c.net.node_count());
     const double d = static_cast<double>(c.net.max_degree());
     const double ceiling = 2.0 * n * d * d;

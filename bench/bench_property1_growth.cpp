@@ -1,6 +1,7 @@
 // E2 — Property 1: on unsaturated networks the one-step growth of the
 // network state satisfies P_{t+1} − P_t <= 5 n Δ², for every step, under
-// both tie-break policies and under losses.
+// both tie-break policies and under losses.  A step above the bound fails
+// the bench (exit 1).
 #include "support/bench_common.hpp"
 
 #include "analysis/timeseries.hpp"
@@ -58,6 +59,7 @@ void print_report() {
     const auto recorder = bench::run_trajectory(c.net, std::move(spec));
     const double max_growth =
         analysis::max_increment(recorder.network_state());
+    if (max_growth > bounds.growth) bench::self_check_failed = true;
     table.add(c.label, bounds.n, bounds.delta, bounds.epsilon, bounds.growth,
               max_growth, max_growth <= bounds.growth,
               max_growth > 0 ? bounds.growth / max_growth : 0.0);

@@ -90,20 +90,21 @@ SdNetwork saturated_at_dstar(NodeId a) {
 SdNetwork clique_chain(NodeId k, int count, Cap out) {
   LGG_REQUIRE(k >= 2, "clique_chain: k >= 2");
   LGG_REQUIRE(count >= 2, "clique_chain: count >= 2");
-  graph::Multigraph g(k * static_cast<NodeId>(count));
+  std::vector<graph::Endpoints> edges;
   for (int c = 0; c < count; ++c) {
     const NodeId base = k * static_cast<NodeId>(c);
     for (NodeId u = 0; u < k; ++u) {
       for (NodeId v = u + 1; v < k; ++v) {
-        g.add_edge(base + u, base + v);
+        edges.push_back({base + u, base + v});
       }
     }
     if (c + 1 < count) {
       // Bridge from this clique's last node to the next clique's first.
-      g.add_edge(base + k - 1, base + k);
+      edges.push_back({base + k - 1, base + k});
     }
   }
-  SdNetwork net(std::move(g));
+  SdNetwork net(graph::Multigraph(k * static_cast<NodeId>(count),
+                                  std::move(edges)));
   net.set_source(0, 1);
   net.set_sink(k * static_cast<NodeId>(count) - 1, out);
   return net;

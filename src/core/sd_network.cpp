@@ -21,6 +21,7 @@ void sync_membership(std::vector<NodeId>& ids, NodeId v, bool member) {
 }  // namespace
 
 void SdNetwork::update_role_index(NodeId v) {
+  certificate_.drop();
   const NodeSpec& s = specs_[static_cast<std::size_t>(v)];
   sync_membership(source_ids_, v, s.in > 0);
   sync_membership(sink_ids_, v, s.out > 0);
@@ -132,10 +133,13 @@ void SdNetwork::validate() const {
 }
 
 flow::FeasibilityReport analyze(const SdNetwork& net) {
+  if (const auto report = net.certificate_.get()) return *report;
   net.validate();
   const auto src = net.source_rates();
   const auto dst = net.sink_rates();
-  return flow::analyze_feasibility(net.topology(), src, dst);
+  return *net.certificate_.publish(
+      std::make_shared<const flow::FeasibilityReport>(
+          flow::analyze_feasibility(net.topology(), src, dst)));
 }
 
 std::string describe(const SdNetwork& net,

@@ -9,8 +9,19 @@
 //
 // A classical S-D-network is exactly the retention-0 special case, which the
 // paper proves (and the test suite checks) behaves identically.
+//
+// The network carries its certificate: the FeasibilityReport (Definitions
+// 3–4 on G*) that analyze() last computed for it.  The graph is fixed at
+// construction, so the report depends only on the specs; every role
+// mutator drops it, and the next analyze() solves G* again.  A copy shares
+// the report, so a network certified once — by scenarios::random_unsaturated,
+// say — is not solved again by the simulator, sentinel or oracle that
+// receives a copy.  analyze() publishes under a mutex, so threads may analyze
+// and copy one const network concurrently.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -104,7 +115,52 @@ class SdNetwork {
   /// and one sink and all rates are sane.
   void validate() const;
 
+  /// The report analyze() published for the current specs, or null when
+  /// none has been computed since construction or the last role mutation.
+  [[nodiscard]] std::shared_ptr<const flow::FeasibilityReport> certificate()
+      const {
+    return certificate_.get();
+  }
+
  private:
+  friend flow::FeasibilityReport analyze(const SdNetwork& net);
+
+  /// An immutable report shared by copies.  Reads and the publish take the
+  /// mutex, since both run on const networks; drop() is a mutation and
+  /// needs the same exclusive access as any other.
+  class Certificate {
+   public:
+    Certificate() = default;
+    Certificate(const Certificate& other) : report_(other.get()) {}
+    Certificate(Certificate&& other) noexcept
+        : report_(std::move(other.report_)) {}
+    Certificate& operator=(const Certificate& other) {
+      report_ = other.get();
+      return *this;
+    }
+    Certificate& operator=(Certificate&& other) noexcept {
+      report_ = std::move(other.report_);
+      return *this;
+    }
+
+    [[nodiscard]] std::shared_ptr<const flow::FeasibilityReport> get() const {
+      const std::lock_guard lock(mutex_);
+      return report_;
+    }
+    /// Keeps the report published first; returns the one kept.
+    std::shared_ptr<const flow::FeasibilityReport> publish(
+        std::shared_ptr<const flow::FeasibilityReport> report) const {
+      const std::lock_guard lock(mutex_);
+      if (report_ == nullptr) report_ = std::move(report);
+      return report_;
+    }
+    void drop() { report_.reset(); }
+
+   private:
+    mutable std::mutex mutex_;
+    mutable std::shared_ptr<const flow::FeasibilityReport> report_;
+  };
+
   void update_role_index(NodeId v);
 
   graph::Multigraph graph_;
@@ -112,10 +168,13 @@ class SdNetwork {
   std::vector<NodeId> source_ids_;     // in > 0, ascending
   std::vector<NodeId> sink_ids_;       // out > 0, ascending
   std::vector<NodeId> retention_ids_;  // retention > 0, ascending
+  Certificate certificate_;
 };
 
 /// Full Section-II/V analysis of the instance (feasibility, f*, ε, min-cut
-/// placement) via the extended graph G*.
+/// placement) via the extended graph G*.  Returns the network's
+/// certificate when it carries one; otherwise solves G* and publishes the
+/// report as the certificate.
 flow::FeasibilityReport analyze(const SdNetwork& net);
 
 /// One-line human summary ("n=12 Δ=4 |S|=2 |D|=3 rate=5 feasible unsaturated

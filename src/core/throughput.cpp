@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "core/simulator.hpp"
 
@@ -27,39 +29,39 @@ QueueCut cut_from_queue_profile(const SdNetwork& net,
   LGG_REQUIRE(static_cast<NodeId>(queues.size()) == net.node_count(),
               "cut_from_queue_profile: queue size mismatch");
   const graph::Multigraph& g = net.topology();
-  // Candidate thresholds: every distinct positive queue level.
-  std::vector<PacketCount> levels(queues.begin(), queues.end());
-  std::sort(levels.begin(), levels.end());
-  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
-
+  // A(ℓ) holds every source iff ℓ is at most the lowest source queue.
+  PacketCount top = std::numeric_limits<PacketCount>::max();
+  for (const NodeId s : net.sources()) {
+    top = std::min(top, queues[static_cast<std::size_t>(s)]);
+  }
+  // Sweep the distinct positive levels from high to low.  Lowering ℓ past a
+  // level moves that level's nodes into A; each moved node's incident edges
+  // flip between crossing and inside, and a moved sink adds its out(d).
+  std::vector<NodeId> order(queues.size());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::sort(order.begin(), order.end(), [&queues](NodeId a, NodeId b) {
+    return queues[static_cast<std::size_t>(a)] >
+           queues[static_cast<std::size_t>(b)];
+  });
+  std::vector<char> inside(queues.size(), 0);
+  Cap value = 0;
   QueueCut best;
   bool found = false;
-  for (const PacketCount level : levels) {
-    if (level <= 0) continue;
-    std::vector<char> side(queues.size(), 0);
-    bool sources_inside = true;
-    for (NodeId v = 0; v < net.node_count(); ++v) {
-      side[static_cast<std::size_t>(v)] =
-          queues[static_cast<std::size_t>(v)] >= level ? 1 : 0;
-    }
-    for (const NodeId s : net.sources()) {
-      sources_inside =
-          sources_inside && side[static_cast<std::size_t>(s)] != 0;
-    }
-    if (!sources_inside) continue;
-    Cap value = 0;
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const graph::Endpoints ep = g.endpoints(e);
-      if (side[static_cast<std::size_t>(ep.u)] !=
-          side[static_cast<std::size_t>(ep.v)]) {
-        ++value;  // an undirected unit link crossing the level set
+  for (std::size_t i = 0; i < order.size();) {
+    const PacketCount level = queues[static_cast<std::size_t>(order[i])];
+    if (level <= 0) break;
+    for (; i < order.size() &&
+           queues[static_cast<std::size_t>(order[i])] == level;
+         ++i) {
+      const NodeId v = order[i];
+      inside[static_cast<std::size_t>(v)] = 1;
+      for (const graph::IncidentLink& link : g.incident(v)) {
+        value += inside[static_cast<std::size_t>(link.neighbor)] ? -1 : 1;
       }
+      value += net.spec(v).out;
     }
-    for (const NodeId d : net.sinks()) {
-      if (side[static_cast<std::size_t>(d)]) value += net.spec(d).out;
-    }
-    if (!found || value < best.value) {
-      best.side_a = std::move(side);
+    // Levels fall, so on a tie the lower level wins.
+    if (level <= top && (!found || value <= best.value)) {
       best.value = value;
       best.level = level;
       found = true;
@@ -68,6 +70,10 @@ QueueCut cut_from_queue_profile(const SdNetwork& net,
   LGG_REQUIRE(found,
               "cut_from_queue_profile: no level set contains every source "
               "(run the network to saturation first)");
+  best.side_a.resize(queues.size());
+  for (std::size_t v = 0; v < queues.size(); ++v) {
+    best.side_a[v] = queues[v] >= best.level ? 1 : 0;
+  }
   return best;
 }
 

@@ -54,7 +54,8 @@ struct QueueCut {
 };
 
 /// Requires every source to sit in some A(ℓ) (true once saturated).
-/// Returns the cheapest level cut.
+/// Returns the cheapest level cut, the one at the lowest level on a tie,
+/// in O(n log n + m).
 QueueCut cut_from_queue_profile(const SdNetwork& net,
                                 std::span<const PacketCount> queues);
 

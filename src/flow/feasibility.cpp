@@ -61,33 +61,41 @@ ExtendedGraph build_extended_graph(const graph::Multigraph& g,
         rn.rate, std::max<Cap>(options.source_scale, 1), unbounded);
   }
 
-  std::vector<ArcSpec> arcs;
-  arcs.reserve(sources.size() + sinks.size() +
-               2 * static_cast<std::size_t>(g.edge_count()));
-  auto add = [&arcs](std::vector<ArcId>& ids, NodeId u, NodeId v, Cap cap) {
-    ids.push_back(static_cast<ArcId>(2 * arcs.size()));
-    arcs.push_back({u, v, cap});
+  // The arc list: the (s*, s) arcs, the (d, d*) arcs, then per edge e of G
+  // the arcs u(e) -> v(e) and v(e) -> u(e).  Entry i is arc 2i; arc_at
+  // computes it, so G* is laid out without storing the list.
+  const std::size_t first_edge = sources.size() + sinks.size();
+  const auto edges = static_cast<std::size_t>(g.edge_count());
+  const auto arc_at = [&](std::size_t i) -> ArcSpec {
+    if (i < sources.size()) {
+      return {ext.s_star, sources[i].node,
+              options.unbounded_sources
+                  ? unbounded
+                  : checked_mul_add(sources[i].rate, options.source_scale)};
+    }
+    if (i < first_edge) {
+      const RatedNode& rn = sinks[i - sources.size()];
+      return {rn.node, ext.d_star,
+              checked_mul_add(rn.rate, options.sink_scale)};
+    }
+    const std::size_t k = i - first_edge;
+    const graph::Endpoints ep = g.endpoints(static_cast<EdgeId>(k / 2));
+    return (k & 1) == 0 ? ArcSpec{ep.u, ep.v, options.edge_capacity}
+                        : ArcSpec{ep.v, ep.u, options.edge_capacity};
   };
-  ext.source_arcs.reserve(sources.size());
-  for (const RatedNode& rn : sources) {
-    add(ext.source_arcs, ext.s_star, rn.node,
-        options.unbounded_sources
-            ? unbounded
-            : checked_mul_add(rn.rate, options.source_scale));
-  }
-  ext.sink_arcs.reserve(sinks.size());
-  for (const RatedNode& rn : sinks) {
-    add(ext.sink_arcs, rn.node, ext.d_star,
-        checked_mul_add(rn.rate, options.sink_scale));
-  }
-  ext.forward_edge_arcs.reserve(static_cast<std::size_t>(g.edge_count()));
-  ext.backward_edge_arcs.reserve(static_cast<std::size_t>(g.edge_count()));
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const graph::Endpoints ep = g.endpoints(e);
-    add(ext.forward_edge_arcs, ep.u, ep.v, options.edge_capacity);
-    add(ext.backward_edge_arcs, ep.v, ep.u, options.edge_capacity);
-  }
-  ext.net = FlowNetwork(g.node_count() + 2, arcs);
+  ext.net = FlowNetwork(g.node_count() + 2, first_edge + 2 * edges, arc_at);
+  const auto arc_ids = [](std::size_t first, std::size_t count,
+                          std::size_t stride) {
+    std::vector<ArcId> ids(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      ids[k] = static_cast<ArcId>(2 * (first + k * stride));
+    }
+    return ids;
+  };
+  ext.source_arcs = arc_ids(0, sources.size(), 1);
+  ext.sink_arcs = arc_ids(sources.size(), sinks.size(), 1);
+  ext.forward_edge_arcs = arc_ids(first_edge, edges, 2);
+  ext.backward_edge_arcs = arc_ids(first_edge + 1, edges, 2);
   return ext;
 }
 
@@ -100,7 +108,7 @@ constexpr ExtendedGraphOptions kParametric{.edge_capacity = kEpsilonDenom,
 
 /// A flow on G* that Newton probes start from, and its value.
 struct WarmStart {
-  std::vector<Cap> flows;  // FlowNetwork::slot_flows()
+  std::vector<Cap> flows;  // FlowNetwork::arc_flows()
   Cap value = 0;
 };
 
@@ -160,7 +168,7 @@ FeasibilityReport analyze_feasibility(const graph::Multigraph& g,
   // copy of that flow, raising only source capacities over it.
   set_source_caps(ext, sources, kEpsilonDenom);
   const Cap value_at_rates = dinic_max_flow(ext.net, ext.s_star, ext.d_star);
-  const WarmStart at_rates{ext.net.slot_flows(), value_at_rates};
+  const WarmStart at_rates{ext.net.arc_flows(), value_at_rates};
   // Scaling every capacity by B scales every cut alike: the flow value
   // scales, and the min-cut family, hence the cut placement, does not.
   report.max_flow_at_rates = at_rates.value / kEpsilonDenom;
@@ -191,7 +199,7 @@ double max_arrival_scaling(const graph::Multigraph& g,
   LGG_REQUIRE(!sinks.empty(), "max_arrival_scaling: no sinks");
   ExtendedGraph ext = build_extended_graph(g, sources, sinks, kParametric);
   // Probes may fall below B, so they start from zero flow.
-  const WarmStart zero{ext.net.slot_flows(), 0};
+  const WarmStart zero{ext.net.arc_flows(), 0};
   const Cap scaled_fstar = dinic_max_flow(ext.net, ext.s_star, ext.d_star);
   const Cap a = largest_feasible(ext, sources, zero,
                                  scaled_fstar / total_rate(sources), 0);

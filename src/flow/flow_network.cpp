@@ -8,39 +8,44 @@ FlowNetwork::FlowNetwork(NodeId n) {
   end_.assign(static_cast<std::size_t>(n), 0);
 }
 
-FlowNetwork::FlowNetwork(NodeId n, std::span<const ArcSpec> arcs)
-    : FlowNetwork(n) {
-  for (const ArcSpec& spec : arcs) {
-    LGG_REQUIRE(valid_node(spec.from) && valid_node(spec.to),
-                "FlowNetwork: bad endpoint");
-    LGG_REQUIRE(spec.cap >= 0, "FlowNetwork: negative capacity");
-    ++end_[static_cast<std::size_t>(spec.from)];
-    ++end_[static_cast<std::size_t>(spec.to)];
-  }
+void FlowNetwork::count_arc(const ArcSpec& spec) {
+  LGG_REQUIRE(valid_node(spec.from) && valid_node(spec.to),
+              "FlowNetwork: bad endpoint");
+  LGG_REQUIRE(spec.cap >= 0, "FlowNetwork: negative capacity");
+  ++end_[static_cast<std::size_t>(spec.from)];
+  ++end_[static_cast<std::size_t>(spec.to)];
+}
+
+void FlowNetwork::lay_out(std::size_t count) {
   SlotId next = 0;
   for (std::size_t v = 0; v < begin_.size(); ++v) {
     begin_[v] = next;
     next += end_[v];
-    end_[v] = begin_[v];  // the fill cursor below
+    end_[v] = begin_[v];  // place_arc's fill cursor
   }
-  grow_slots(next);
-  slot_.resize(2 * arcs.size());
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const ArcSpec& spec = arcs[i];
-    const auto fwd = static_cast<std::size_t>(
-        end_[static_cast<std::size_t>(spec.from)]++);
-    const auto bwd =
-        static_cast<std::size_t>(end_[static_cast<std::size_t>(spec.to)]++);
-    head_[fwd] = spec.to;
-    head_[bwd] = spec.from;
-    twin_[fwd] = static_cast<SlotId>(bwd);
-    twin_[bwd] = static_cast<SlotId>(fwd);
-    arc_[fwd] = static_cast<ArcId>(2 * i);
-    arc_[bwd] = static_cast<ArcId>(2 * i + 1);
-    cap_[fwd] = res_[fwd] = spec.cap;
-    slot_[2 * i] = static_cast<SlotId>(fwd);
-    slot_[2 * i + 1] = static_cast<SlotId>(bwd);
-  }
+  const auto slots = static_cast<std::size_t>(next);
+  head_.resize(slots);
+  twin_.resize(slots);
+  arc_.resize(slots);
+  res_.resize(slots);
+  slot_.resize(2 * count);
+}
+
+void FlowNetwork::place_arc(std::size_t i, const ArcSpec& spec) {
+  const auto fwd =
+      static_cast<std::size_t>(end_[static_cast<std::size_t>(spec.from)]++);
+  const auto bwd =
+      static_cast<std::size_t>(end_[static_cast<std::size_t>(spec.to)]++);
+  head_[fwd] = spec.to;
+  head_[bwd] = spec.from;
+  twin_[fwd] = static_cast<SlotId>(bwd);
+  twin_[bwd] = static_cast<SlotId>(fwd);
+  arc_[fwd] = static_cast<ArcId>(2 * i);
+  arc_[bwd] = static_cast<ArcId>(2 * i + 1);
+  res_[fwd] = spec.cap;
+  res_[bwd] = 0;
+  slot_[2 * i] = static_cast<SlotId>(fwd);
+  slot_[2 * i + 1] = static_cast<SlotId>(bwd);
 }
 
 NodeId FlowNetwork::add_node() {
@@ -79,7 +84,6 @@ SlotId FlowNetwork::append_slot(NodeId v, NodeId head, Cap cap, ArcId a) {
       head_[to] = head_[from];
       arc_[to] = arc_[from];
       res_[to] = res_[from];
-      cap_[to] = cap_[from];
       twin_[to] = twin_[from];
       // The slot of an arc whose twin is still being appended has none yet.
       if (twin_[to] >= 0) {
@@ -87,7 +91,7 @@ SlotId FlowNetwork::append_slot(NodeId v, NodeId head, Cap cap, ArcId a) {
       }
       slot_[static_cast<std::size_t>(arc_[to])] = static_cast<SlotId>(to);
       arc_[from] = kFreeSlot;
-      res_[from] = cap_[from] = 0;
+      res_[from] = 0;
       twin_[from] = -1;
     }
     begin_[vi] = new_begin;
@@ -99,7 +103,7 @@ SlotId FlowNetwork::append_slot(NodeId v, NodeId head, Cap cap, ArcId a) {
   const auto si = static_cast<std::size_t>(s);
   head_[si] = head;
   arc_[si] = a;
-  res_[si] = cap_[si] = cap;
+  res_[si] = cap;
   twin_[si] = -1;
   return s;
 }
@@ -110,20 +114,34 @@ void FlowNetwork::grow_slots(SlotId count) {
   twin_.resize(size, -1);
   arc_.resize(size, kFreeSlot);
   res_.resize(size, 0);
-  cap_.resize(size, 0);
 }
 
-std::vector<Cap> FlowNetwork::slot_flows() const {
-  std::vector<Cap> flows(res_.size());
-  for (std::size_t s = 0; s < flows.size(); ++s) flows[s] = cap_[s] - res_[s];
+void FlowNetwork::reset_flow() {
+  for (std::size_t a = 0; a < slot_.size(); a += 2) {
+    const auto fwd = static_cast<std::size_t>(slot_[a]);
+    const auto bwd = static_cast<std::size_t>(slot_[a + 1]);
+    res_[fwd] += res_[bwd];
+    res_[bwd] = 0;
+  }
+}
+
+std::vector<Cap> FlowNetwork::arc_flows() const {
+  std::vector<Cap> flows(slot_.size() / 2);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    flows[i] = res_[static_cast<std::size_t>(slot_[2 * i + 1])];
+  }
   return flows;
 }
 
 void FlowNetwork::restore_flows(std::span<const Cap> flows) {
-  LGG_REQUIRE(flows.size() == res_.size(), "restore_flows: size mismatch");
-  for (std::size_t s = 0; s < flows.size(); ++s) {
-    res_[s] = cap_[s] - flows[s];
-    LGG_ASSERT(res_[s] >= 0);
+  LGG_REQUIRE(flows.size() == slot_.size() / 2,
+              "restore_flows: size mismatch");
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto fwd = static_cast<std::size_t>(slot_[2 * i]);
+    const auto bwd = static_cast<std::size_t>(slot_[2 * i + 1]);
+    res_[fwd] += res_[bwd] - flows[i];
+    res_[bwd] = flows[i];
+    LGG_ASSERT(res_[fwd] >= 0);
   }
 }
 
@@ -132,7 +150,6 @@ void FlowNetwork::set_capacity(ArcId a, Cap cap) {
   LGG_REQUIRE((a & 1) == 0, "set_capacity: must address the forward arc");
   LGG_REQUIRE(cap >= 0, "set_capacity: negative capacity");
   const std::size_t s = at(a);
-  cap_[s] = cap;
   res_[s] = cap;
   res_[static_cast<std::size_t>(twin_[s])] = 0;
 }
@@ -144,20 +161,13 @@ void FlowNetwork::set_capacity_keep_flow(ArcId a, Cap cap) {
   const Cap f = flow(a);
   LGG_REQUIRE(cap >= f && cap >= 0,
               "set_capacity_keep_flow: capacity below current flow");
-  const std::size_t s = at(a);
-  cap_[s] = cap;
-  res_[s] = cap - f;
+  res_[at(a)] = cap - f;
 }
 
 Cap FlowNetwork::excess_at(NodeId v) const {
   LGG_REQUIRE(valid_node(v), "excess_at: bad node");
-  // A forward arc's slot holds its flow as capacity - residual; a twin's,
-  // with capacity 0, holds minus the flow of the arc into v.
   Cap out = 0;
-  const auto vi = static_cast<std::size_t>(v);
-  for (SlotId s = begin_[vi]; s < end_[vi]; ++s) {
-    out += cap_[static_cast<std::size_t>(s)] - res_[static_cast<std::size_t>(s)];
-  }
+  for (const ArcId a : out_arcs(v)) out += flow(a);
   return -out;
 }
 

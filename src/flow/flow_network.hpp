@@ -3,23 +3,27 @@
 //
 // Arcs are stored in pairs: forward arc 2i and its residual twin 2i+1, so
 // `a ^ 1` is always the reverse arc.  Solvers mutate residual capacities in
-// place via push(); flow on a forward arc is recovered as
-// capacity(a) - residual(a).
+// place via push(), which moves residual between the two arcs of a pair;
+// so a forward arc's capacity is the pair's residual sum, a twin's is 0,
+// and flow on a forward arc is its twin's residual.  Only residuals are
+// stored.
 //
 // The storage is one CSR residual network.  Every arc, forward or twin,
 // owns a *slot*; node v's arcs occupy the slot range [begin(v), end(v)) in
-// the order they were added, and the head, residual, capacity, twin-slot
-// and arc-id arrays are indexed by slot, so a scan of v's arcs reads
-// consecutive memory.  The ArcId API is a view on top (arc a lives at slot
+// the order they were added, and the head, residual, twin-slot and arc-id
+// arrays are indexed by slot, so a scan of v's arcs reads consecutive
+// memory.  The ArcId API is a view on top (arc a lives at slot
 // arc_slot(a)); the solvers' inner loops run on the raw slot arrays.
 //
 // A network built from an arc list is laid out by one counting pass, with
-// no gaps.  add_arc appends to the end of each endpoint's range: in place
-// when the next slot is free, otherwise by moving that node's range to the
-// end of the arrays with as much room again, so appends cost O(1)
-// amortized and leave the node's earlier slots in order.
+// no gaps, into arrays of their final size that are written once.  add_arc
+// appends to the end of each endpoint's range: in place when the next slot
+// is free, otherwise by moving that node's range to the end of the arrays
+// with as much room again, so appends cost O(1) amortized and leave the
+// node's earlier slots in order.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,7 +48,17 @@ class FlowNetwork {
   explicit FlowNetwork(NodeId n);
   /// Builds the network with arcs[i] as forward arc 2i (twin 2i+1), in one
   /// counting pass; the same network as n nodes plus add_arc in order.
-  FlowNetwork(NodeId n, std::span<const ArcSpec> arcs);
+  FlowNetwork(NodeId n, std::span<const ArcSpec> arcs)
+      : FlowNetwork(n, arcs.size(),
+                    [arcs](std::size_t i) { return arcs[i]; }) {}
+  /// The same, with arc_at(i) as arcs[i] for i < count: builds an arc list
+  /// that is never stored.  arc_at is called twice per arc.
+  template <typename ArcAt>
+  FlowNetwork(NodeId n, std::size_t count, ArcAt arc_at) : FlowNetwork(n) {
+    for (std::size_t i = 0; i < count; ++i) count_arc(arc_at(i));
+    lay_out(count);
+    for (std::size_t i = 0; i < count; ++i) place_arc(i, arc_at(i));
+  }
 
   NodeId add_node();
 
@@ -76,15 +90,19 @@ class FlowNetwork {
   [[nodiscard]] NodeId from(ArcId a) const { return to(a ^ 1); }
 
   /// Original capacity of the arc (0 for residual twins of forward arcs).
-  [[nodiscard]] Cap capacity(ArcId a) const { return cap_[at(a)]; }
+  [[nodiscard]] Cap capacity(ArcId a) const {
+    if ((a & 1) != 0) return 0;
+    const std::size_t s = at(a);
+    return res_[s] + res_[static_cast<std::size_t>(twin_[s])];
+  }
 
   /// Remaining residual capacity.
   [[nodiscard]] Cap residual(ArcId a) const { return res_[at(a)]; }
 
-  /// Net flow currently routed on the arc (negative if the twin carries
-  /// more than this direction).
+  /// Net flow currently routed on the arc: the twin's residual for a
+  /// forward arc, and minus the forward arc's flow for a twin.
   [[nodiscard]] Cap flow(ArcId a) const {
-    return capacity(a) - residual(a);
+    return (a & 1) != 0 ? -residual(a) : residual(a ^ 1);
   }
 
   /// Arc ids leaving `v` (forward and residual alike), in insertion order.
@@ -115,14 +133,14 @@ class FlowNetwork {
   }
 
   /// Restores the zero-flow state (residuals = original capacities).
-  void reset_flow() { res_ = cap_; }
+  void reset_flow();
 
-  /// Every slot's flow (capacity - residual), for restore_flows().
-  [[nodiscard]] std::vector<Cap> slot_flows() const;
+  /// Every forward arc's flow, by arc id / 2, for restore_flows().
+  [[nodiscard]] std::vector<Cap> arc_flows() const;
 
-  /// Routes flows saved by slot_flows() on this network again, over the
-  /// current capacities: every residual becomes capacity - flow.  Each
-  /// saved flow must still fit its arc's capacity.
+  /// Routes flows saved by arc_flows() on this network again, over the
+  /// current capacities.  Each saved flow must still fit its arc's
+  /// capacity.
   void restore_flows(std::span<const Cap> flows);
 
   /// Replaces the capacity of an existing arc; resets that arc pair's flow.
@@ -167,6 +185,34 @@ class FlowNetwork {
  private:
   static constexpr ArcId kFreeSlot = -1;
 
+  /// An allocator whose value-less construct default-initializes, so
+  /// resize(n) leaves the slots for the counting build to write once.
+  template <typename T>
+  struct WriteOnceAllocator {
+    using value_type = T;
+    WriteOnceAllocator() = default;
+    template <typename U>
+    WriteOnceAllocator(const WriteOnceAllocator<U>& /*other*/) noexcept {}
+    T* allocate(std::size_t n) { return std::allocator<T>{}.allocate(n); }
+    void deallocate(T* p, std::size_t n) noexcept {
+      std::allocator<T>{}.deallocate(p, n);
+    }
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    friend bool operator==(const WriteOnceAllocator&,
+                           const WriteOnceAllocator&) = default;
+  };
+  template <typename T>
+  using SlotArray = std::vector<T, WriteOnceAllocator<T>>;
+
+  /// The counting build: tallies an arc's endpoints, lays out the ranges,
+  /// then writes arc i into its two slots.
+  void count_arc(const ArcSpec& spec);
+  void lay_out(std::size_t count);
+  void place_arc(std::size_t i, const ArcSpec& spec);
+
   [[nodiscard]] std::size_t at(ArcId a) const {
     return static_cast<std::size_t>(arc_slot(a));
   }
@@ -180,12 +226,11 @@ class FlowNetwork {
 
   std::vector<SlotId> begin_;  // per node
   std::vector<SlotId> end_;    // per node
-  std::vector<NodeId> head_;   // per slot
-  std::vector<SlotId> twin_;   // per slot
-  std::vector<ArcId> arc_;     // per slot; kFreeSlot outside every range
-  std::vector<Cap> res_;       // per slot
-  std::vector<Cap> cap_;       // per slot
-  std::vector<SlotId> slot_;   // per arc id
+  SlotArray<NodeId> head_;     // per slot
+  SlotArray<SlotId> twin_;     // per slot
+  SlotArray<ArcId> arc_;       // per slot; kFreeSlot outside every range
+  SlotArray<Cap> res_;         // per slot
+  SlotArray<SlotId> slot_;     // per arc id
 };
 
 }  // namespace lgg::flow

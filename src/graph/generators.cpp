@@ -11,99 +11,101 @@ namespace lgg::graph {
 
 Multigraph make_path(NodeId n) {
   LGG_REQUIRE(n >= 1, "make_path: n >= 1");
-  Multigraph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
+  std::vector<Endpoints> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_cycle(NodeId n) {
   LGG_REQUIRE(n >= 3, "make_cycle: n >= 3");
-  Multigraph g = make_path(n);
-  g.add_edge(n - 1, 0);
-  return g;
+  std::vector<Endpoints> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+  edges.push_back({n - 1, 0});
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_star(NodeId n) {
   LGG_REQUIRE(n >= 2, "make_star: n >= 2");
-  Multigraph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
+  std::vector<Endpoints> edges;
+  for (NodeId v = 1; v < n; ++v) edges.push_back({0, v});
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_complete(NodeId n) {
   LGG_REQUIRE(n >= 1, "make_complete: n >= 1");
-  Multigraph g(n);
+  std::vector<Endpoints> edges;
   for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
-  return g;
+    for (NodeId v = u + 1; v < n; ++v) edges.push_back({u, v});
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_complete_bipartite(NodeId a, NodeId b) {
   LGG_REQUIRE(a >= 1 && b >= 1, "make_complete_bipartite: a, b >= 1");
-  Multigraph g(a + b);
+  std::vector<Endpoints> edges;
   for (NodeId u = 0; u < a; ++u)
-    for (NodeId v = 0; v < b; ++v) g.add_edge(u, a + v);
-  return g;
+    for (NodeId v = 0; v < b; ++v) edges.push_back({u, a + v});
+  return Multigraph(a + b, std::move(edges));
 }
 
 Multigraph make_grid(NodeId rows, NodeId cols) {
   LGG_REQUIRE(rows >= 1 && cols >= 1, "make_grid: rows, cols >= 1");
-  Multigraph g(rows * cols);
+  std::vector<Endpoints> edges;
   const auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.push_back({id(r, c), id(r, c + 1)});
+      if (r + 1 < rows) edges.push_back({id(r, c), id(r + 1, c)});
     }
   }
-  return g;
+  return Multigraph(rows * cols, std::move(edges));
 }
 
 Multigraph make_torus(NodeId rows, NodeId cols) {
   LGG_REQUIRE(rows >= 3 && cols >= 3, "make_torus: rows, cols >= 3");
-  Multigraph g(rows * cols);
+  std::vector<Endpoints> edges;
   const auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
-      g.add_edge(id(r, c), id(r, (c + 1) % cols));
-      g.add_edge(id(r, c), id((r + 1) % rows, c));
+      edges.push_back({id(r, c), id(r, (c + 1) % cols)});
+      edges.push_back({id(r, c), id((r + 1) % rows, c)});
     }
   }
-  return g;
+  return Multigraph(rows * cols, std::move(edges));
 }
 
 Multigraph make_fat_path(NodeId len, int multiplicity) {
   LGG_REQUIRE(len >= 1, "make_fat_path: len >= 1");
   LGG_REQUIRE(multiplicity >= 1, "make_fat_path: multiplicity >= 1");
-  Multigraph g(len);
+  std::vector<Endpoints> edges;
   for (NodeId v = 0; v + 1 < len; ++v)
-    for (int k = 0; k < multiplicity; ++k) g.add_edge(v, v + 1);
-  return g;
+    for (int k = 0; k < multiplicity; ++k) edges.push_back({v, v + 1});
+  return Multigraph(len, std::move(edges));
 }
 
 Multigraph make_erdos_renyi(NodeId n, double p, std::uint64_t seed) {
   LGG_REQUIRE(n >= 1, "make_erdos_renyi: n >= 1");
   LGG_REQUIRE(p >= 0.0 && p <= 1.0, "make_erdos_renyi: p in [0,1]");
   Rng rng(seed);
-  Multigraph g(n);
+  std::vector<Endpoints> edges;
   for (NodeId u = 0; u < n; ++u)
     for (NodeId v = u + 1; v < n; ++v)
-      if (rng.bernoulli(p)) g.add_edge(u, v);
-  return g;
+      if (rng.bernoulli(p)) edges.push_back({u, v});
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_random_multigraph(NodeId n, EdgeId m, std::uint64_t seed) {
   LGG_REQUIRE(n >= 2, "make_random_multigraph: n >= 2");
   LGG_REQUIRE(m >= 0, "make_random_multigraph: m >= 0");
   Rng rng(seed);
-  Multigraph g(n);
-  for (EdgeId e = 0; e < m; ++e) {
-    NodeId u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    NodeId v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    while (v == u) v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    g.add_edge(u, v);
+  std::vector<Endpoints> edges(static_cast<std::size_t>(m));
+  for (Endpoints& ep : edges) {
+    ep.u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    ep.v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    while (ep.v == ep.u) {
+      ep.v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    }
   }
-  return g;
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_random_regular(NodeId n, int d, std::uint64_t seed) {
@@ -130,10 +132,10 @@ Multigraph make_random_regular(NodeId n, int d, std::uint64_t seed) {
       if (!seen.insert({key.first, key.second}).second) { ok = false; break; }
     }
     if (!ok) continue;
-    Multigraph g(n);
+    std::vector<Endpoints> edges;
     for (std::size_t i = 0; i + 1 < stubs.size(); i += 2)
-      g.add_edge(stubs[i], stubs[i + 1]);
-    return g;
+      edges.push_back({stubs[i], stubs[i + 1]});
+    return Multigraph(n, std::move(edges));
   }
   throw std::runtime_error(
       "make_random_regular: pairing model failed to produce a simple graph");
@@ -144,71 +146,72 @@ Multigraph make_layered(NodeId layers, NodeId width, int fan,
   LGG_REQUIRE(layers >= 2 && width >= 1, "make_layered: layers >= 2, width >= 1");
   LGG_REQUIRE(fan >= 1 && fan <= width, "make_layered: 1 <= fan <= width");
   Rng rng(seed);
-  Multigraph g(layers * width);
+  std::vector<Endpoints> edges;
   std::vector<NodeId> perm(static_cast<std::size_t>(width));
   for (NodeId layer = 0; layer + 1 < layers; ++layer) {
     for (NodeId i = 0; i < width; ++i) {
       std::iota(perm.begin(), perm.end(), NodeId{0});
       std::shuffle(perm.begin(), perm.end(), rng.engine());
       for (int k = 0; k < fan; ++k) {
-        g.add_edge(layer * width + i,
-                   (layer + 1) * width + perm[static_cast<std::size_t>(k)]);
+        edges.push_back(
+            {layer * width + i,
+             (layer + 1) * width + perm[static_cast<std::size_t>(k)]});
       }
     }
   }
-  return g;
+  return Multigraph(layers * width, std::move(edges));
 }
 
 Multigraph make_barbell(NodeId k) {
   LGG_REQUIRE(k >= 2, "make_barbell: k >= 2");
-  Multigraph g(2 * k);
+  std::vector<Endpoints> edges;
   for (NodeId u = 0; u < k; ++u)
     for (NodeId v = u + 1; v < k; ++v) {
-      g.add_edge(u, v);
-      g.add_edge(k + u, k + v);
+      edges.push_back({u, v});
+      edges.push_back({k + u, k + v});
     }
-  g.add_edge(k - 1, k);  // bridge
-  return g;
+  edges.push_back({k - 1, k});  // bridge
+  return Multigraph(2 * k, std::move(edges));
 }
 
 Multigraph make_hypercube(int d) {
   LGG_REQUIRE(d >= 1 && d <= 20, "make_hypercube: 1 <= d <= 20");
   const NodeId n = static_cast<NodeId>(1) << d;
-  Multigraph g(n);
+  std::vector<Endpoints> edges;
   for (NodeId v = 0; v < n; ++v) {
     for (int bit = 0; bit < d; ++bit) {
       const NodeId u = v ^ (static_cast<NodeId>(1) << bit);
-      if (v < u) g.add_edge(v, u);
+      if (v < u) edges.push_back({v, u});
     }
   }
-  return g;
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_circulant(NodeId n, const std::vector<int>& offsets) {
   LGG_REQUIRE(n >= 3, "make_circulant: n >= 3");
-  Multigraph g(n);
+  std::vector<Endpoints> edges;
   for (const int o : offsets) {
     LGG_REQUIRE(o >= 1 && o <= n / 2, "make_circulant: offset in [1, n/2]");
     if (2 * o == n) {
-      for (NodeId v = 0; v < n / 2; ++v) g.add_edge(v, v + o);
+      for (NodeId v = 0; v < n / 2; ++v) edges.push_back({v, v + o});
     } else {
-      for (NodeId v = 0; v < n; ++v) g.add_edge(v, (v + o) % n);
+      for (NodeId v = 0; v < n; ++v) edges.push_back({v, (v + o) % n});
     }
   }
-  return g;
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph make_caterpillar(NodeId spine, int legs) {
   LGG_REQUIRE(spine >= 1, "make_caterpillar: spine >= 1");
   LGG_REQUIRE(legs >= 0, "make_caterpillar: legs >= 0");
-  Multigraph g(spine + spine * legs);
-  for (NodeId v = 0; v + 1 < spine; ++v) g.add_edge(v, v + 1);
+  std::vector<Endpoints> edges;
+  for (NodeId v = 0; v + 1 < spine; ++v) edges.push_back({v, v + 1});
   for (NodeId v = 0; v < spine; ++v) {
     for (int leg = 0; leg < legs; ++leg) {
-      g.add_edge(v, spine + v * legs + leg);
+      edges.push_back({v, spine + v * legs + leg});
     }
   }
-  return g;
+  return Multigraph(spine + spine * legs, std::move(edges));
 }
 
 void thicken(Multigraph& g, EdgeId extra, std::uint64_t seed) {

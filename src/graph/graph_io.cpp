@@ -21,7 +21,8 @@ std::string to_string(const Multigraph& g) {
 }
 
 Multigraph read_graph(std::istream& is) {
-  Multigraph g;
+  NodeId n = 0;
+  std::vector<Endpoints> edges;
   bool have_nodes = false;
   std::string line;
   int lineno = 0;
@@ -36,25 +37,28 @@ Multigraph read_graph(std::istream& is) {
     if (!(ls >> keyword)) continue;
     if (keyword == "nodes") {
       if (have_nodes) throw ParseError("duplicate 'nodes' line", lineno);
-      long long n = -1;
-      if (!(ls >> n) || n < 0) throw ParseError("bad node count", lineno);
-      g = Multigraph(static_cast<NodeId>(n));
+      long long count = -1;
+      if (!(ls >> count) || count < 0) {
+        throw ParseError("bad node count", lineno);
+      }
+      n = static_cast<NodeId>(count);
+      LGG_REQUIRE(n >= 0, "node count must be non-negative");
       have_nodes = true;
     } else if (keyword == "edge") {
       if (!have_nodes) throw ParseError("'edge' before 'nodes'", lineno);
       long long u = -1, v = -1;
       if (!(ls >> u >> v)) throw ParseError("bad edge endpoints", lineno);
-      if (u < 0 || v < 0 || u >= g.node_count() || v >= g.node_count()) {
+      if (u < 0 || v < 0 || u >= n || v >= n) {
         throw ParseError("edge endpoint out of range", lineno);
       }
       if (u == v) throw ParseError("self-loop not allowed", lineno);
-      g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+      edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
     } else {
       throw ParseError("unknown keyword '" + keyword + "'", lineno);
     }
   }
   if (!have_nodes) throw ParseError("missing 'nodes' line", lineno);
-  return g;
+  return Multigraph(n, std::move(edges));
 }
 
 Multigraph graph_from_string(const std::string& text) {

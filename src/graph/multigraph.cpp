@@ -5,9 +5,33 @@
 
 namespace lgg::graph {
 
-EdgeId Multigraph::add_edge(NodeId u, NodeId v) {
+Multigraph::Multigraph(NodeId n, std::vector<Endpoints> edges)
+    : Multigraph(n) {
+  std::vector<int> degree(static_cast<std::size_t>(n), 0);
+  for (const Endpoints& ep : edges) {
+    check_edge(ep.u, ep.v);
+    ++degree[static_cast<std::size_t>(ep.u)];
+    ++degree[static_cast<std::size_t>(ep.v)];
+  }
+  for (std::size_t v = 0; v < incidence_.size(); ++v) {
+    incidence_[v].reserve(static_cast<std::size_t>(degree[v]));
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Endpoints ep = edges[i];
+    const auto id = static_cast<EdgeId>(i);
+    incidence_[static_cast<std::size_t>(ep.u)].push_back({id, ep.v});
+    incidence_[static_cast<std::size_t>(ep.v)].push_back({id, ep.u});
+  }
+  edges_ = std::move(edges);
+}
+
+void Multigraph::check_edge(NodeId u, NodeId v) const {
   LGG_REQUIRE(valid_node(u) && valid_node(v), "add_edge: bad endpoint");
   LGG_REQUIRE(u != v, "add_edge: self-loops are not part of the model");
+}
+
+EdgeId Multigraph::add_edge(NodeId u, NodeId v) {
+  check_edge(u, v);
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back({u, v});
   incidence_[static_cast<std::size_t>(u)].push_back({id, v});

@@ -41,6 +41,11 @@ class Multigraph {
     incidence_.resize(static_cast<std::size_t>(n));
   }
 
+  /// Creates a graph with `n` nodes and edges[i] as edge i: the same graph,
+  /// edge ids and incidence order as add_edge(edges[i].u, edges[i].v) in
+  /// order, rejecting the same edges, with every incidence list sized once.
+  Multigraph(NodeId n, std::vector<Endpoints> edges);
+
   /// Appends an isolated node and returns its id.
   NodeId add_node() {
     incidence_.emplace_back();
@@ -102,6 +107,9 @@ class Multigraph {
   }
 
  private:
+  /// Rejects what add_edge rejects: a bad endpoint or a self-loop.
+  void check_edge(NodeId u, NodeId v) const;
+
   std::vector<Endpoints> edges_;
   std::vector<std::vector<IncidentLink>> incidence_;
 };

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+
+#include "common/rng.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
 #include "graph/generators.hpp"
@@ -105,6 +110,84 @@ TEST(QueueCut, UnsaturatedNetworkRejectedWhenSourcesDrain) {
   } else {
     SUCCEED();
   }
+}
+
+/// The level-by-level form of cut_from_queue_profile: rebuild A(ℓ) and
+/// rescan every edge for each distinct level, lowest level first.
+std::optional<QueueCut> reference_queue_cut(
+    const SdNetwork& net, std::span<const PacketCount> queues) {
+  const graph::Multigraph& g = net.topology();
+  std::vector<PacketCount> levels(queues.begin(), queues.end());
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  std::optional<QueueCut> best;
+  for (const PacketCount level : levels) {
+    if (level <= 0) continue;
+    std::vector<char> side(queues.size(), 0);
+    for (std::size_t v = 0; v < queues.size(); ++v) {
+      side[v] = queues[v] >= level ? 1 : 0;
+    }
+    bool sources_inside = true;
+    for (const NodeId s : net.sources()) {
+      sources_inside = sources_inside && side[static_cast<std::size_t>(s)];
+    }
+    if (!sources_inside) continue;
+    Cap value = 0;
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      const graph::Endpoints ep = g.endpoints(e);
+      if (side[static_cast<std::size_t>(ep.u)] !=
+          side[static_cast<std::size_t>(ep.v)]) {
+        ++value;
+      }
+    }
+    for (const NodeId d : net.sinks()) {
+      if (side[static_cast<std::size_t>(d)]) value += net.spec(d).out;
+    }
+    if (!best || value < best->value) {
+      best = QueueCut{std::move(side), value, level};
+    }
+  }
+  return best;
+}
+
+TEST(QueueCut, SweepMatchesTheLevelByLevelReference) {
+  Rng rng(0x5EE9);
+  int compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<NodeId>(rng.uniform_int(2, 24));
+    const auto m = static_cast<EdgeId>(rng.uniform_int(0, 3 * n));
+    SdNetwork net(graph::make_random_multigraph(
+        n, m, static_cast<std::uint64_t>(trial)));
+    std::vector<NodeId> nodes(static_cast<std::size_t>(n));
+    std::iota(nodes.begin(), nodes.end(), NodeId{0});
+    std::shuffle(nodes.begin(), nodes.end(), rng.engine());
+    const auto nsrc = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    const auto nsink = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t i = 0; i < nsrc + nsink && i < nodes.size(); ++i) {
+      if (i < nsrc) {
+        net.set_source(nodes[i], rng.uniform_int(1, 3));
+      } else {
+        net.set_sink(nodes[i], rng.uniform_int(1, 4));
+      }
+    }
+    // Few levels, so ties between levels and cut values are common.
+    const PacketCount top = trial % 4 == 0 ? 1000 : 5;
+    std::vector<PacketCount> queues(static_cast<std::size_t>(n));
+    for (PacketCount& q : queues) q = rng.uniform_int(0, top);
+    const std::optional<QueueCut> expected = reference_queue_cut(net, queues);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (!expected) {
+      EXPECT_THROW((void)cut_from_queue_profile(net, queues),
+                   ContractViolation);
+      continue;
+    }
+    const QueueCut cut = cut_from_queue_profile(net, queues);
+    EXPECT_EQ(cut.value, expected->value);
+    EXPECT_EQ(cut.level, expected->level);
+    EXPECT_EQ(cut.side_a, expected->side_a);
+    ++compared;
+  }
+  EXPECT_GT(compared, 300);
 }
 
 TEST(MaxFlowViaLgg, UndersaturatedSourcesMeasureArrivalRate) {

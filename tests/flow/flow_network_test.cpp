@@ -168,6 +168,32 @@ TEST(FlowNetwork, ExcessEqualsForwardArcBalance) {
   }
 }
 
+TEST(FlowNetwork, RestoreFlowsReroutesSavedFlowsOverNewCapacities) {
+  Rng rng(14);
+  const NodeId n = 6;
+  FlowNetwork net(n, random_arcs(rng, n, 30));
+  for (int i = 0; i < 40; ++i) {
+    const auto a = static_cast<ArcId>(rng.uniform_int(0, net.arc_count() - 1));
+    net.push(a, rng.uniform_int(0, net.residual(a)));
+  }
+  const FlowNetwork pushed = net;
+  const std::vector<Cap> flows = net.arc_flows();
+  ASSERT_EQ(flows.size(), static_cast<std::size_t>(net.arc_count() / 2));
+  // Raise every capacity, which clears the flows, then route them again.
+  for (ArcId a = 0; a < net.arc_count(); a += 2) {
+    EXPECT_EQ(flows[static_cast<std::size_t>(a / 2)], pushed.flow(a));
+    net.set_capacity(a, pushed.capacity(a) + 2);
+    EXPECT_EQ(net.flow(a), 0);
+  }
+  net.restore_flows(flows);
+  for (ArcId a = 0; a < net.arc_count(); ++a) {
+    EXPECT_EQ(net.flow(a), pushed.flow(a)) << "arc " << a;
+    EXPECT_EQ(net.capacity(a), (a & 1) == 0 ? pushed.capacity(a) + 2 : 0);
+  }
+  net.reset_flow();
+  for (ArcId a = 0; a < net.arc_count(); ++a) EXPECT_EQ(net.flow(a), 0);
+}
+
 TEST(FlowNetwork, NegativeCapacityRejected) {
   FlowNetwork net(2);
   EXPECT_THROW(net.add_arc(0, 1, -1), ContractViolation);

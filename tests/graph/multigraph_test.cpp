@@ -4,9 +4,12 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
+#include "graph/generators.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
 
@@ -101,6 +104,85 @@ TEST(Multigraph, EqualityComparesStructure) {
   EXPECT_EQ(a, b);
   b.add_edge(0, 1);
   EXPECT_FALSE(a == b);
+}
+
+/// The same graph, edge ids and incidence lists, in the same order.
+void expect_identical(const Multigraph& a, const Multigraph& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.edge_count(), b.edge_count());
+  for (EdgeId e = 0; e < a.edge_count(); ++e) {
+    EXPECT_EQ(a.endpoints(e), b.endpoints(e)) << "edge " << e;
+  }
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    const auto ia = a.incident(v);
+    const auto ib = b.incident(v);
+    EXPECT_EQ(std::vector<IncidentLink>(ia.begin(), ia.end()),
+              std::vector<IncidentLink>(ib.begin(), ib.end()))
+        << "node " << v;
+  }
+  EXPECT_EQ(a.max_degree(), b.max_degree());
+}
+
+Multigraph added_in_order(NodeId n, const std::vector<Endpoints>& edges) {
+  Multigraph g(n);
+  for (const Endpoints& ep : edges) g.add_edge(ep.u, ep.v);
+  return g;
+}
+
+TEST(MultigraphFromEdges, MatchesRandomMultigraphsBuiltByAddEdge) {
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    const auto n = static_cast<NodeId>(2 + seed % 37);
+    const auto m = static_cast<EdgeId>((seed * 7) % 150);
+    // make_random_multigraph's draws, appended one add_edge at a time.
+    Rng rng(seed);
+    Multigraph reference(n);
+    for (EdgeId e = 0; e < m; ++e) {
+      const auto u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      auto v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      while (v == u) v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      reference.add_edge(u, v);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_identical(make_random_multigraph(n, m, seed), reference);
+  }
+}
+
+TEST(MultigraphFromEdges, MatchesHandBuiltParallelEdges) {
+  const std::vector<std::vector<Endpoints>> lists = {
+      {},
+      {{0, 1}, {1, 0}, {0, 1}},
+      {{2, 3}, {0, 1}, {3, 2}, {1, 2}, {1, 2}, {0, 3}, {3, 0}},
+      {{4, 0}, {4, 1}, {4, 2}, {4, 3}, {0, 4}, {2, 1}},
+  };
+  for (const auto& edges : lists) {
+    const Multigraph built(5, edges);
+    expect_identical(built, added_in_order(5, edges));
+    EXPECT_EQ(built.multiplicity(0, 1),
+              added_in_order(5, edges).multiplicity(0, 1));
+  }
+}
+
+TEST(MultigraphFromEdges, RejectsWhatAddEdgeRejects) {
+  const std::vector<std::vector<Endpoints>> bad = {
+      {{0, 1}, {1, 3}},   // endpoint past the last node
+      {{-1, 0}},          // negative endpoint
+      {{0, 1}, {2, 2}},   // self-loop
+  };
+  for (const auto& edges : bad) {
+    std::string from_list, from_add;
+    try {
+      (void)Multigraph(3, edges);
+    } catch (const ContractViolation& e) {
+      from_list = e.what();
+    }
+    try {
+      (void)added_in_order(3, edges);
+    } catch (const ContractViolation& e) {
+      from_add = e.what();
+    }
+    EXPECT_FALSE(from_list.empty());
+    EXPECT_EQ(from_list, from_add);
+  }
 }
 
 TEST(CsrIncidence, MatchesAdjacencyOfSource) {
